@@ -4,8 +4,10 @@ Unlike the figure/table benchmarks (which reproduce paper results), this
 suite times the primitive operations every training run is built from —
 dense and depthwise convolution, linear layers, an attention block, whole
 LeNet / MobileNetV2 training steps, and the augmented-vs-plain step
-overhead — and writes a machine-readable ``BENCH_nn_micro.json`` so future
-PRs can diff the repo's performance trajectory.
+overhead — plus the served forward (augmented LeNet / MobileNetV2-small at
+batch 32 under ``no_grad``) with a per-layer-type breakdown, and writes a
+machine-readable ``BENCH_nn_micro.json`` so future PRs can diff the repo's
+performance trajectory.
 
 Run it as a script (no pytest required)::
 
@@ -196,6 +198,87 @@ def bench_augmented_overhead(rng: np.random.Generator, tiny: bool,
     }
 
 
+def _served_job(kind: str):
+    """An augmented LeNet or MobileNetV2-small job plus 32 augmented queries.
+
+    Matches the served models of the repository benchmark: LeNet on 1x28x28
+    and MobileNetV2-small on 3x32x32 inputs, with ``augmentation_amount=0.5``
+    and ``num_subnetworks=2``.
+    """
+    from repro.core import Amalgam, AmalgamConfig
+    from repro.data import make_cifar10, make_mnist
+    from repro.models import LeNet
+    from repro.models.mobilenet import mobilenet_v2_small
+    from repro.serve import ExtractionProxy
+
+    if kind == "lenet":
+        data = make_mnist(train_count=32, val_count=32, seed=11)
+        model = LeNet(10, 1, 28, rng=np.random.default_rng(5))
+    else:
+        data = make_cifar10(train_count=32, val_count=32, seed=11)
+        model = mobilenet_v2_small(num_classes=10, in_channels=3, rng=np.random.default_rng(5))
+    config = AmalgamConfig(augmentation_amount=0.5, num_subnetworks=2, seed=13)
+    job = Amalgam(config).prepare_image_job(model, data)
+    job.augmented_model.eval()
+    proxy = ExtractionProxy(job.secrets, rng=np.random.default_rng(17))
+    return job.augmented_model, proxy.augment_batch(data.validation.samples[:32])
+
+
+def bench_served_forward(model: nn.Module, queries: np.ndarray) -> Callable[[], None]:
+    """The served forward: the augmented model in eval mode under ``no_grad``."""
+    batch = Tensor(queries)
+
+    def forward() -> None:
+        with nn.no_grad():
+            model(batch)
+
+    return forward
+
+
+def _layer_kind(module) -> str:
+    """Layer-type label; convolutions are split by the kernel path they take."""
+    name = type(module).__name__
+    if name != "Conv2d":
+        return name
+    if module.groups > 1:
+        return "Conv2d[depthwise]" if module.groups == module.in_channels else "Conv2d[grouped]"
+    return "Conv2d[1x1]" if module.kernel_size == (1, 1) else "Conv2d[kxk]"
+
+
+def layer_breakdown(model: nn.Module, forward: Callable[[], None],
+                    repeats: int) -> Dict[str, float]:
+    """Mean ms per ``forward`` spent in each leaf layer type of ``model``.
+
+    Every leaf module's ``forward`` is wrapped from outside for the duration
+    of the call, so the timed cases never pay for it.  ``other`` is what the
+    forward spends outside leaf layers (residual adds, sub-network plumbing).
+    """
+    totals: Dict[str, float] = {}
+    leaves = [module for _, module in model.named_modules() if not module._modules]
+    for module in leaves:
+        def timed(*args, _forward=module.forward, _kind=_layer_kind(module), **kwargs):
+            begin = time.perf_counter()
+            try:
+                return _forward(*args, **kwargs)
+            finally:
+                totals[_kind] = totals.get(_kind, 0.0) + time.perf_counter() - begin
+        module.forward = timed  # an instance attribute shadows the method
+    try:
+        forward()  # warm-up
+        totals.clear()
+        begin = time.perf_counter()
+        for _ in range(repeats):
+            forward()
+        elapsed = time.perf_counter() - begin
+    finally:
+        for module in leaves:
+            del module.forward
+    breakdown = {kind: seconds / repeats * 1e3
+                 for kind, seconds in sorted(totals.items(), key=lambda item: -item[1])}
+    breakdown["other"] = elapsed / repeats * 1e3 - sum(breakdown.values())
+    return breakdown
+
+
 # ---------------------------------------------------------------------------
 # Regression gate
 # ---------------------------------------------------------------------------
@@ -246,13 +329,28 @@ def run(output_path: str, scale: str, baseline_path: str = "",
     }
 
     results: Dict[str, Dict[str, float]] = {}
-    for name, fn in benches.items():
+
+    def record(name: str, fn: Callable[[], None]) -> None:
         results[name] = time_fn(fn, repeats)
         print(f"{name:28s} median {results[name]['median_s'] * 1e3:9.3f} ms "
               f"(min {results[name]['min_s'] * 1e3:9.3f} ms, n={repeats})")
 
+    for name, fn in benches.items():
+        record(name, fn)
+
     results.update(bench_augmented_overhead(rng, tiny, max(2, repeats // 2)))
     print(f"{'augmented_overhead_x':28s} {results['augmented_overhead_x']['ratio']:.2f}x")
+
+    # The served models are built only now, so their set-up never runs
+    # ahead of the primitives above.
+    served_layers: Dict[str, Dict[str, float]] = {}
+    for kind in ("lenet", "mobilenet"):
+        model, queries = _served_job(kind)
+        forward = bench_served_forward(model, queries)
+        record(f"served_forward_{kind}", forward)
+        served_layers[kind] = layer_breakdown(model, forward, repeats)
+        print(f"served_forward_{kind} ms per layer type: "
+              + ", ".join(f"{name} {ms:.2f}" for name, ms in served_layers[kind].items()))
 
     report: Dict[str, object] = {
         "suite": "bench_nn_micro",
@@ -264,6 +362,7 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         "machine": platform.machine(),
         "seed": seed,
         "results": results,
+        "served_forward_layers_ms": served_layers,
     }
     offenders: List[str] = []
     if baseline_path:

@@ -23,9 +23,35 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return int(value), int(value)
 
 
+def _graph_free(*operands: Optional[Tensor]) -> bool:
+    """Whether an op over ``operands`` records no autograd graph.
+
+    This selects every inference fast path below: under ``no_grad``, or when
+    no operand requires grad, the result is a plain tensor, so the op may
+    skip whatever exists only to route gradients (masks, column matrices,
+    intermediate tensors).  The grad-mode paths remain the reference.
+    """
+    if not is_grad_enabled():
+        return True
+    return not any(operand is not None and operand.requires_grad for operand in operands)
+
+
 # ---------------------------------------------------------------------------
 # im2col / col2im
 # ---------------------------------------------------------------------------
+def _zero_pad(images: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``images`` zero-padded spatially: one zero-fill plus one slice-assign.
+
+    Same result as ``np.pad`` at a fraction of its cost.
+    """
+    if ph == 0 and pw == 0:
+        return images
+    batch, channels, height, width = images.shape
+    padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw), dtype=images.dtype)
+    padded[:, :, ph : ph + height, pw : pw + width] = images
+    return padded
+
+
 def im2col(
     images: np.ndarray,
     kernel_size: Tuple[int, int],
@@ -42,9 +68,9 @@ def im2col(
     sh, sw = stride
     ph, pw = padding
 
-    # Skip the pad (a full copy) whenever there is nothing to pad — every
-    # pooling op and all padding-free convolutions take this path.
-    padded = images if ph == 0 and pw == 0 else np.pad(images, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # ``_zero_pad`` skips the copy whenever there is nothing to pad — every
+    # pooling op and all padding-free convolutions take that path.
+    padded = _zero_pad(images, ph, pw)
     out_h = (height + 2 * ph - kh) // sh + 1
     out_w = (width + 2 * pw - kw) // sw + 1
 
@@ -68,6 +94,34 @@ def im2col(
     if columns.base is not None:
         columns = np.ascontiguousarray(columns)
     return columns, (out_h, out_w)
+
+
+def _channel_major_columns(
+    images: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Columns of shape ``(batch, channels * kh * kw, out_h * out_w)``.
+
+    The channel-major counterpart of :func:`im2col`, for the graph-free dense
+    convolution.  The result may be a view of ``images`` (1x1 kernels at
+    stride 1 without padding), so callers must only read it.
+    """
+    batch, channels = images.shape[:2]
+    kh, kw = kernel_size
+    sh, sw = stride
+    padded = _zero_pad(images, *padding)
+    out_h = (padded.shape[2] - kh) // sh + 1
+    out_w = (padded.shape[3] - kw) // sw + 1
+    strides = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, channels, kh, kw, out_h, out_w),
+        strides=(strides[0], strides[1], strides[2], strides[3],
+                 strides[2] * sh, strides[3] * sw),
+    )
+    return windows.reshape(batch, channels * kh * kw, out_h * out_w), (out_h, out_w)
 
 
 def col2im(
@@ -112,6 +166,36 @@ def col2im(
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
+#: Byte budget of one batch tile of the graph-free depthwise stencil's padded
+#: input.  Running all ``kh * kw`` taps over a tile this small keeps the tile,
+#: its output and the scratch buffer cache-resident across taps, instead of
+#: streaming the whole batch through memory once per tap.
+_DEPTHWISE_TILE_BYTES = 512 * 1024
+
+
+def _depthwise_taps(padded: np.ndarray, kernel: np.ndarray, stride: Tuple[int, int],
+                    out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the depthwise stencil of ``padded`` into ``out``.
+
+    The first tap writes ``out`` directly and every later tap is multiplied
+    into the reused ``scratch`` buffer and added, so the loop allocates
+    nothing.  Each output element sees the same multiply-then-add sequence
+    whatever the batch slice, so results are bit-identical for any tiling.
+    """
+    _, _, kh, kw = kernel.shape
+    sh, sw = stride
+    out_h, out_w = out.shape[2], out.shape[3]
+    for i in range(kh):
+        for j in range(kw):
+            window = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
+            tap = kernel[None, :, 0, i, j, None, None]
+            if i == 0 and j == 0:
+                np.multiply(window, tap, out=out)
+            else:
+                np.multiply(window, tap, out=scratch)
+                out += scratch
+
+
 def _depthwise_conv2d(
     inputs: Tensor,
     weight: Tensor,
@@ -126,25 +210,37 @@ def _depthwise_conv2d(
     fold for a contraction of length ``kh * kw``.  Instead, forward and
     backward are computed as ``kh * kw`` fused multiply-adds over strided
     window views of the (padded) input — no column matrix, no scatter.
+    Without a graph to record, the forward runs batch tile by batch tile
+    through one reused padded buffer (see ``_DEPTHWISE_TILE_BYTES``).
     """
     batch, channels, height, width = inputs.shape
     _, _, kh, kw = weight.shape
     sh, sw = stride
     ph, pw = padding
-    padded = inputs.data if ph == 0 and pw == 0 else np.pad(
-        inputs.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     out_h = (height + 2 * ph - kh) // sh + 1
     out_w = (width + 2 * pw - kw) // sw + 1
 
     kernel = weight.data  # (channels, 1, kh, kw)
-    out_data = np.zeros((batch, channels, out_h, out_w),
+    out_data = np.empty((batch, channels, out_h, out_w),
                         dtype=np.result_type(inputs.dtype, kernel.dtype))
-    for i in range(kh):
-        for j in range(kw):
-            window = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-            out_data += window * kernel[None, :, 0, i, j, None, None]
+    graph_free = _graph_free(inputs, weight, bias)
+    padded_shape = (channels, height + 2 * ph, width + 2 * pw)
+    tile = batch  # the backward reads the whole padded input
+    if graph_free:
+        sample_bytes = int(np.prod(padded_shape)) * inputs.dtype.itemsize
+        tile = max(1, min(batch, _DEPTHWISE_TILE_BYTES // sample_bytes))
+    # Only the interior is rewritten per tile, so the border stays zero.
+    padded = np.zeros((tile,) + padded_shape, dtype=inputs.dtype)
+    scratch = np.empty((tile,) + out_data.shape[1:], dtype=out_data.dtype)
+    for start in range(0, batch, max(tile, 1)):
+        rows = min(tile, batch - start)
+        padded[:rows, :, ph : ph + height, pw : pw + width] = inputs.data[start : start + rows]
+        _depthwise_taps(padded[:rows], kernel, stride,
+                        out_data[start : start + rows], scratch[:rows])
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
+    if graph_free:
+        return Tensor(out_data)
 
     parents = [inputs, weight] + ([bias] if bias is not None else [])
 
@@ -193,6 +289,20 @@ def conv2d(
 
     if groups > 1 and in_per_group == 1 and out_channels == groups:
         return _depthwise_conv2d(inputs, weight, bias, stride, padding)
+
+    if groups == 1 and _graph_free(inputs, weight, bias):
+        # Inference fast path: ``(O, K) @ (B, K, P)`` over channel-major
+        # columns lands the result in channel-major layout.  For 1x1 kernels
+        # at stride 1 (MobileNet's expand/project convs) the columns are a
+        # view of the input, so nothing is copied; for wider kernels the
+        # gather runs along contiguous output rows, several times faster
+        # than im2col's patch-major copy.
+        columns, (out_h, out_w) = _channel_major_columns(inputs.data, (kh, kw), stride, padding)
+        out_data = np.matmul(weight.data.reshape(out_channels, -1), columns)
+        out_data = out_data.reshape(batch, out_channels, out_h, out_w)
+        if bias is not None:
+            out_data += bias.data.reshape(1, -1, 1, 1)
+        return Tensor(out_data)
 
     columns, (out_h, out_w) = im2col(inputs.data, (kh, kw), stride, padding)
     patches = out_h * out_w
@@ -387,6 +497,20 @@ def batch_norm(
         shape = (1, -1)
     else:
         raise ValueError("batch_norm supports 2-D or 4-D inputs")
+
+    if not training and _graph_free(inputs, gamma, beta):
+        # Inference fast path: fold the running statistics and the affine
+        # parameters into one per-channel scale and shift, applied in one
+        # multiply and one in-place add (the graph path makes four passes,
+        # each allocating a tensor).  Computed in the dtype the graph path
+        # would return.
+        dtype = np.result_type(inputs.dtype, gamma.dtype, beta.dtype)
+        scale = np.asarray(gamma.data, dtype=dtype) / np.sqrt(
+            np.asarray(running_var, dtype=dtype) + eps)
+        shift = np.asarray(beta.data, dtype=dtype) - np.asarray(running_mean, dtype=dtype) * scale
+        out_data = inputs.data * scale.reshape(shape)
+        out_data += shift.reshape(shape)
+        return Tensor(out_data)
 
     if training:
         batch_mean = inputs.data.mean(axis=axes)

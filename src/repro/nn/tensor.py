@@ -570,6 +570,9 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def relu(self) -> "Tensor":
+        if not (is_grad_enabled() and self.requires_grad):
+            # Inference fast path: the mask only exists to route gradients.
+            return Tensor(np.maximum(self.data, 0))
         mask = self.data > 0
         data = self.data * mask
 
@@ -581,6 +584,8 @@ class Tensor:
 
     def clip(self, minimum: float, maximum: float) -> "Tensor":
         data = np.clip(self.data, minimum, maximum)
+        if not (is_grad_enabled() and self.requires_grad):
+            return Tensor(data)  # inference fast path: no gradient mask
         mask = (self.data >= minimum) & (self.data <= maximum)
 
         def backward(grad: np.ndarray) -> None:

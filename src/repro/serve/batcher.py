@@ -110,11 +110,17 @@ class Batcher:
             return []
         if len(chunk) > self.max_batch_size:
             raise ValueError(f"batch of {len(chunk)} exceeds max_batch_size={self.max_batch_size}")
-        batch = np.stack([np.asarray(sample) for sample in chunk])
-        target = self.padded_size(len(chunk))
-        if target > len(chunk):
-            pad_rows = np.zeros((target - len(chunk),) + batch.shape[1:], dtype=batch.dtype)
-            batch = np.concatenate([batch, pad_rows])
+        rows = [np.asarray(sample) for sample in chunk]
+        shape = rows[0].shape
+        if any(row.shape != shape for row in rows):
+            raise ValueError("all samples in a batch must have the same shape")
+        # One allocation of the padded batch: each request row is copied in
+        # once and only the padding rows are zeroed.
+        dtype = np.result_type(*{row.dtype for row in rows})
+        batch = np.empty((self.padded_size(len(rows)),) + shape, dtype=dtype)
+        for index, row in enumerate(rows):
+            batch[index] = row
+        batch[len(rows) :] = 0
         stacked, multi_output = self.forward(model, batch)
         if multi_output:
             return [stacked[:, index] for index in range(len(chunk))]

@@ -78,6 +78,10 @@ class ExtractionProxy:
         self.value_range = value_range
         self.rng = rng if rng is not None else get_rng(secrets.config_seed + 17)
         self.middleware = MiddlewareChain.coerce(middleware)
+        # ``(plan, plan.noise_positions())`` for the last plan augmented with.
+        # Rebuilding the positions costs more than the rest of a
+        # single-sample augmentation; they stay on the client like the plan.
+        self._noise_cache: Optional[Tuple[object, np.ndarray]] = None
 
     @property
     def plan(self):
@@ -90,6 +94,13 @@ class ExtractionProxy:
     # ------------------------------------------------------------------
     # Outbound: raw sample -> augmented sample
     # ------------------------------------------------------------------
+    def _noise_positions(self, plan) -> np.ndarray:
+        """``plan.noise_positions()``, cached while the plan is the same object."""
+        cached = self._noise_cache
+        if cached is None or cached[0] is not plan:
+            cached = self._noise_cache = (plan, plan.noise_positions())
+        return cached[1]
+
     def augment(self, sample: np.ndarray) -> np.ndarray:
         """Augment a single raw sample (image ``(C, H, W)`` or token row ``(L,)``)."""
         return self.augment_batch(np.asarray(sample)[None])[0]
@@ -113,7 +124,7 @@ class ExtractionProxy:
         channels = plan.channels
         flat = samples.reshape(count, channels, plan.original_pixels)
         augmented = np.empty((count, channels, plan.augmented_pixels), dtype=samples.dtype)
-        noise_positions = plan.noise_positions()
+        noise_positions = self._noise_positions(plan)
         noise_count = noise_positions.shape[1]
         for channel in range(channels):
             values = self.noise.sample_pixels(count * noise_count, self.rng, self.value_range)
@@ -133,7 +144,7 @@ class ExtractionProxy:
             raise ValueError("secrets.metadata must carry 'vocab_size' for token augmentation")
         count = samples.shape[0]
         augmented = np.empty((count, plan.augmented_length), dtype=np.int64)
-        noise_positions = plan.noise_positions()[0]
+        noise_positions = self._noise_positions(plan)[0]
         values = self.noise.sample_tokens(count * len(noise_positions), self.rng, int(vocab_size))
         augmented[:, plan.positions[0]] = samples
         augmented[:, noise_positions] = values.reshape(count, len(noise_positions))

@@ -75,6 +75,31 @@ class TestRunBatch:
             assert np.array_equal(together[index], alone[index])
             assert np.array_equal(together[index], pairs[index])
 
+    @pytest.mark.parametrize("padding", ["none", "bucket", "full"])
+    def test_padded_batch_is_stacked_requests_then_zero_rows(self, padding):
+        """The executed batch is bit-identical to stacking then concatenating pad rows."""
+        seen = []
+
+        class Echo(nn.Module):
+            def forward(self, inputs):
+                seen.append(inputs.data.copy())
+                return inputs
+
+        batcher = Batcher(max_batch_size=8, padding=padding)
+        x = np.random.default_rng(4).standard_normal((3, 2, 5)).astype(np.float32)
+        outputs = batcher.run_batch(Echo(), list(x))
+        target = batcher.padded_size(3)
+        expected = np.concatenate([x, np.zeros((target - 3, 2, 5), np.float32)])
+        assert seen[0].dtype == expected.dtype
+        assert np.array_equal(seen[0], expected)
+        for got, want in zip(outputs, x):
+            assert np.array_equal(got, want)
+
+    def test_mismatched_sample_shapes_rejected(self):
+        samples = [np.zeros((1, 28, 28), np.float32), np.zeros((28, 28), np.float32)]
+        with pytest.raises(ValueError):
+            Batcher(max_batch_size=4).run_batch(make_lenet(), samples)
+
     def test_run_chunks_large_request_lists(self):
         model = make_lenet().eval()
         x = np.random.default_rng(2).standard_normal((11, 1, 28, 28)).astype(np.float32)

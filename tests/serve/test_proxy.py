@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,9 @@ from repro.serve import (
 from repro.utils.rng import get_rng
 
 
-def make_image_job():
+def make_image_job(seed: int = 13):
     data = make_mnist(train_count=24, val_count=8, seed=1)
-    config = AmalgamConfig(augmentation_amount=0.5, num_subnetworks=2, seed=13)
+    config = AmalgamConfig(augmentation_amount=0.5, num_subnetworks=2, seed=seed)
     job = Amalgam(config).prepare_image_job(
         LeNet(10, 1, 28, rng=np.random.default_rng(5)), data
     )
@@ -82,6 +84,33 @@ class TestImageAugmentation:
             assert np.array_equal(
                 flat[:, channel, plan.channel_positions[channel]], originals[:, channel]
             )
+
+    def test_cached_noise_positions_leave_outputs_unchanged(self, served_image_job):
+        """Repeated and swapped-plan augmentations match the uncached algorithm."""
+        data, job, _, _ = served_image_job
+        other_plan = make_image_job(seed=14)[1].secrets.dataset_plan
+        secrets = dataclasses.replace(job.secrets)
+        proxy = ExtractionProxy(secrets, rng=get_rng(3))
+        reference_rng = get_rng(3)
+
+        def uncached(samples, plan):
+            count = len(samples)
+            flat = samples.reshape(count, plan.channels, plan.original_pixels)
+            out = np.empty((count, plan.channels, plan.augmented_pixels), dtype=samples.dtype)
+            noise = plan.noise_positions()
+            for channel in range(plan.channels):
+                values = proxy.noise.sample_pixels(
+                    count * noise.shape[1], reference_rng, proxy.value_range
+                )
+                out[:, channel, plan.channel_positions[channel]] = flat[:, channel]
+                out[:, channel, noise[channel]] = values.reshape(count, -1).astype(samples.dtype)
+            return out.reshape((count,) + plan.augmented_shape)
+
+        for plan in (job.secrets.dataset_plan, job.secrets.dataset_plan, other_plan):
+            secrets.dataset_plan = plan
+            for count in (1, 3):
+                samples = data.train.samples[:count]
+                assert np.array_equal(proxy.augment_batch(samples), uncached(samples, plan))
 
     def test_wrong_shape_rejected(self, served_image_job):
         _, job, _, _ = served_image_job
