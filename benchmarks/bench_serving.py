@@ -649,7 +649,7 @@ def bench_slo(tiny: bool, seed: int) -> Dict[str, object]:
     by ``--max-profiler-overhead``); ``full_overhead_pct`` is everything
     together.  The healthy run must not page: ``alerts_fired`` is asserted 0.
     Two micro-rates round out the section: store ingest (observations/s into
-    the bucketed GK sketches) and SLO evaluation (full manager sweeps/s).
+    the per-bucket latency histograms) and SLO evaluation (full manager sweeps/s).
     """
     num_clients = 8
     per_client = 8 if tiny else 32
@@ -778,7 +778,7 @@ def bench_slo(tiny: bool, seed: int) -> Dict[str, object]:
             return float("inf")
         return round((bare["requests_per_s"] / instrumented["requests_per_s"] - 1.0) * 100.0, 2)
 
-    # Micro-rate: windowed-store ingest straight into the bucketed sketches.
+    # Micro-rate: windowed-store ingest straight into the per-bucket histograms.
     micro_store = WindowedSeriesStore(interval=1.0, buckets=16)
     ingest_count = 20_000 if tiny else 100_000
     start = time.perf_counter()

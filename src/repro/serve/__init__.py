@@ -128,11 +128,11 @@ from .observability import (
     BurnRateRule,
     InMemoryExporter,
     JsonlExporter,
+    LatencyHistogram,
     LatencyObjective,
     MetricsRegistry,
     ObservabilityConfigError,
     PrometheusExporter,
-    QuantileSketch,
     SLOConfigError,
     Span,
     SpanExporter,
@@ -150,7 +150,7 @@ from .observability import (
 from .proxy import ExtractionProxy
 from .registry import ModelRegistry, RegistryEntry
 from .server import InferenceServer, ServerOverloaded, ServerStopped
-from .stats import LatencyWindow, ModelStats
+from .stats import ModelStats
 
 __all__ = [
     "PADDING_MODES",
@@ -187,8 +187,8 @@ __all__ = [
     "InMemoryExporter",
     "InferenceServer",
     "JsonlExporter",
+    "LatencyHistogram",
     "LatencyTargetPolicy",
-    "LatencyWindow",
     "LeastLoadedPolicy",
     "MetricsRegistry",
     "MiddlewareChain",
@@ -206,7 +206,6 @@ __all__ = [
     "PrivacyBudgetExceeded",
     "PrometheusExporter",
     "ProtocolError",
-    "QuantileSketch",
     "QueueDepthPolicy",
     "RateLimitExceeded",
     "RateLimiter",

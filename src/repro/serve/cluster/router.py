@@ -991,9 +991,9 @@ class ClusterRouter:
         """Cluster-wide view: merged per-model stats plus per-replica detail.
 
         Per-model numbers aggregate across replicas with
-        :meth:`ModelStats.merged` — counters sum, p50/p95 are computed over
-        the union of the raw per-replica latency windows (averaging per-
-        replica percentiles would understate the tail).  The no-argument form
+        :meth:`ModelStats.merged` — counters sum, p50/p95 are read from the
+        sum of the per-replica latency histograms (averaging per-replica
+        percentiles would understate the tail).  The no-argument form
         is a :meth:`MetricsRegistry.collect` view: each section is a named
         provider on :attr:`metrics`, so the historical shape is preserved
         while the registry remains the single source of truth.

@@ -20,33 +20,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
-from ..observability import MetricsRegistry
 from ..stats import ModelStats
 from .base import RequestContext, ServeMiddleware
 
 
 class Telemetry(ServeMiddleware):
-    """Flushes per-request stage timings into per-model ``ModelStats``.
+    """Flushes per-request stage timings into per-model ``ModelStats``."""
 
-    When constructed with a :class:`~repro.serve.observability.MetricsRegistry`,
-    every stage recording is routed through
-    :meth:`~repro.serve.observability.MetricsRegistry.record_stage` so the
-    registry tallies telemetry flow-through; the per-model ``stages()``
-    breakdown is byte-for-byte identical either way.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics
+    def __init__(self) -> None:
         self._local: Dict[str, ModelStats] = {}
         self._lock = threading.Lock()
-
-    def _record(self, context: RequestContext, stats: ModelStats, stage: str, seconds: float) -> None:
-        if self.metrics is not None:
-            self.metrics.record_stage(context.model_id, stage, seconds, stats)
-        else:
-            stats.record_stage(stage, seconds)
 
     def _stats_for(self, context: RequestContext) -> ModelStats:
         if context.stats is not None:
@@ -71,10 +56,10 @@ class Telemetry(ServeMiddleware):
     def on_response(self, context: RequestContext) -> None:
         stats = self._stats_for(context)
         total = time.perf_counter() - context.created_at
-        self._record(context, stats, "request.total", total)
+        stats.record_stage("request.total", total)
         if context.error is not None:
-            self._record(context, stats, "request.error", total)
+            stats.record_stage("request.error", total)
         elif context.metadata.get("cache") == "hit":
-            self._record(context, stats, "request.cache_hit", total)
+            stats.record_stage("request.cache_hit", total)
         for stage, seconds in context.timings.items():
-            self._record(context, stats, stage, seconds)
+            stats.record_stage(stage, seconds)

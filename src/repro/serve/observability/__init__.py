@@ -14,10 +14,11 @@ stack as a whole a *watching* layer that evaluates its own health:
 * :mod:`~repro.serve.observability.metrics` — :class:`MetricsRegistry`
   (counters/gauges/histograms plus named snapshot providers; the cluster
   router's ``stats()`` is a view over it), with live *observers* fanning
-  every instrument update out;
+  every instrument update out, and :class:`LatencyHistogram`, the one
+  mergeable latency distribution every percentile in the stack reads;
 * :mod:`~repro.serve.observability.timeseries` —
   :class:`WindowedSeriesStore`: constant-memory windowed history (counter
-  rates, gauge-last, :class:`QuantileSketch` percentiles) for every
+  rates, gauge-last, :class:`LatencyHistogram` percentiles) for every
   instrument, attached via the registry observer hook;
 * :mod:`~repro.serve.observability.slo` — declarative SLOs
   (:class:`LatencyObjective` / :class:`AvailabilityObjective`) with error
@@ -51,7 +52,7 @@ from .exporters import (
     register_exporter,
     registered_exporters,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, LatencyHistogram, MetricsRegistry
 from .profiler import StageProfiler
 from .slo import (
     SLO,
@@ -65,7 +66,7 @@ from .slo import (
     registered_slos,
     slo_from_spec,
 )
-from .timeseries import QuantileSketch, WindowedSeriesStore
+from .timeseries import WindowedSeriesStore
 from .trace import ActiveSpan, Span, TraceContext, Tracer
 
 __all__ = [
@@ -79,11 +80,11 @@ __all__ = [
     "Histogram",
     "InMemoryExporter",
     "JsonlExporter",
+    "LatencyHistogram",
     "LatencyObjective",
     "MetricsRegistry",
     "ObservabilityConfigError",
     "PrometheusExporter",
-    "QuantileSketch",
     "SLO",
     "SLOConfigError",
     "Span",

@@ -25,6 +25,10 @@ history for every existing instrument without any call site changing.
 Observer callbacks run outside instrument locks and their exceptions are
 swallowed: history must never stall or fail the serving path.
 
+:class:`LatencyHistogram` is the stack's one latency distribution: the
+registry :class:`Histogram`, ``ModelStats`` and the windowed store all hold
+it, and every p50/p95 they report is read from it.
+
 Metric naming scheme (``docs/observability.md``): provider names are the
 component (``router``, ``admission``, ``gateway``, ``middleware.<Name>``);
 instrument names are dotted ``component.measure`` strings.
@@ -32,37 +36,108 @@ instrument names are dotted ``component.measure`` strings.
 
 from __future__ import annotations
 
-import bisect
+import math
 import threading
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 Provider = Callable[[], Dict[str, object]]
 
-#: Default Histogram bucket upper bounds (Prometheus-style, milliseconds-ish
-#: spread): cumulative counts over these plus "+Inf" form the snapshot shape
-#: the Prometheus exporter renders.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1000.0,
-)
+#: Log-bucket resolution: bucket edges sit ``2 ** (1 / SUB_BUCKETS)`` apart,
+#: so a reported quantile is at most ~2.2% above the exact one.
+SUB_BUCKETS = 32
+_ZERO = -(1 << 31)  # the one bucket for values <= 0 (upper edge 0.0)
+
+
+def _edge(index: int) -> float:
+    """Upper edge of bucket ``index``: it holds ``(_edge(index - 1), _edge(index)]``."""
+    return 0.0 if index == _ZERO else 2.0 ** (index / SUB_BUCKETS)
+
+
+def _index(value: float) -> int:
+    if value <= 0.0:
+        return _ZERO
+    index = math.ceil(math.log2(value) * SUB_BUCKETS)
+    # log2 may round across an edge; settle on the bucket _edge() defines.
+    if _edge(index - 1) >= value:
+        return index - 1
+    if _edge(index) < value:
+        return index + 1
+    return index
+
+
+class LatencyHistogram:
+    """The one latency distribution: sparse fixed log buckets, exactly mergeable.
+
+    Every positive value lands in the bucket whose upper edge is the next
+    power of ``2 ** (1 / SUB_BUCKETS)`` at or above it; values <= 0 share
+    one zero bucket.  ``count``/``sum``/``min``/``max`` are exact,
+    :meth:`record` is O(1), and :meth:`merge` adds counts, so a merged
+    histogram answers exactly what one fed the union would.  Not
+    thread-safe: owners hold their own lock.
+    """
+
+    __slots__ = ("counts", "count", "sum", "min", "max")
+
+    def __init__(self) -> None:
+        self.counts: Dict[int, int] = {}
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def record(self, value: float) -> None:
+        value = float(value)
+        index = _index(value)
+        self.counts[index] = self.counts.get(index, 0) + 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
+        """Add ``other``'s observations into this histogram (returns self)."""
+        for index, count in other.counts.items():
+            self.counts[index] = self.counts.get(index, 0) + count
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        return self
+
+    def quantile(self, q: float) -> float:
+        """Upper edge of the bucket holding rank ``ceil(q * count)``, clamped
+        to ``[min, max]``; 0.0 when empty."""
+        if not self.count:
+            return 0.0
+        if q <= 0.0:
+            return self.min
+        rank = math.ceil(q * self.count)
+        for edge, running in self.cumulative():
+            if running >= rank:
+                break
+        return min(max(edge, self.min), self.max)
+
+    def fraction_above(self, threshold: float) -> float:
+        """Fraction of observations above ``threshold``, to bucket resolution:
+        values sharing ``threshold``'s bucket count as at or below it."""
+        if not self.count or threshold >= self.max:
+            return 0.0
+        if threshold < self.min:
+            return 1.0
+        floor = _index(threshold)
+        above = sum(count for index, count in self.counts.items() if index > floor)
+        return above / self.count
+
+    def cumulative(self) -> List[Tuple[float, int]]:
+        """``(upper_edge, count at or below it)`` for every occupied bucket."""
+        running = 0
+        pairs = []
+        for index in sorted(self.counts):
+            running += self.counts[index]
+            pairs.append((_edge(index), running))
+        return pairs
 
 
 def _notify(watchers, method: str, name: str, value: float) -> None:
@@ -127,88 +202,52 @@ class Gauge:
 
 
 class Histogram:
-    """A rolling-window distribution with count/mean/percentile summaries.
+    """A cumulative :class:`LatencyHistogram` with count/mean/percentile summaries.
 
-    Alongside the rolling sample window (which feeds :meth:`summary`'s
-    percentiles), the histogram keeps cumulative bucket counts over fixed
-    upper bounds; :meth:`snapshot` reads buckets, count and sum under **one**
-    lock acquisition so a concurrent :meth:`observe` can never produce a
-    snapshot whose sum/count disagree with its buckets.
+    :meth:`snapshot` reads buckets, count and sum under **one** lock
+    acquisition so a concurrent :meth:`observe` can never produce a snapshot
+    whose sum/count disagree with its buckets.
     """
 
-    __slots__ = (
-        "name",
-        "_samples",
-        "_count",
-        "_total",
-        "_lock",
-        "_bounds",
-        "_bucket_counts",
-        "_watchers",
-    )
+    __slots__ = ("name", "_histogram", "_lock", "_watchers")
 
-    def __init__(
-        self,
-        name: str,
-        window: int = 2048,
-        buckets: Optional[Sequence[float]] = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: Deque[float] = deque(maxlen=window)
-        self._count = 0
-        self._total = 0.0
+        self._histogram = LatencyHistogram()
         self._lock = threading.Lock()
-        bounds = tuple(sorted(float(bound) for bound in (buckets or DEFAULT_BUCKETS)))
-        if not bounds:
-            raise ValueError("buckets must be non-empty")
-        self._bounds = bounds
-        self._bucket_counts = [0] * len(bounds)
         self._watchers: Tuple[object, ...] = ()
 
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self._samples.append(value)
-            self._count += 1
-            self._total += value
-            index = bisect.bisect_left(self._bounds, value)
-            if index < len(self._bucket_counts):
-                self._bucket_counts[index] += 1
+            self._histogram.record(value)
         if self._watchers:
             _notify(self._watchers, "on_observation", self.name, value)
 
     def summary(self) -> Dict[str, float]:
         with self._lock:
-            samples = list(self._samples)
-            count, total = self._count, self._total
-        if not samples:
-            return {"count": count, "mean": 0.0, "p50": 0.0, "p95": 0.0}
-        array = np.asarray(samples)
-        return {
-            "count": count,
-            "mean": round(total / count, 6) if count else 0.0,
-            "p50": round(float(np.percentile(array, 50)), 6),
-            "p95": round(float(np.percentile(array, 95)), 6),
-        }
+            histogram = self._histogram
+            count = histogram.count
+            if not count:
+                return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0}
+            return {
+                "count": count,
+                "mean": round(histogram.sum / count, 6),
+                "p50": round(histogram.quantile(0.5), 6),
+                "p95": round(histogram.quantile(0.95), 6),
+            }
 
     def snapshot(self) -> Dict[str, object]:
         """Coherent count/sum/buckets read under a single lock acquisition.
 
-        ``buckets`` maps each upper bound (plus ``"+Inf"``) to the
-        *cumulative* count at or below it — the Prometheus exposition shape —
-        and the invariant ``buckets["+Inf"] == count`` holds for every
-        snapshot regardless of concurrent observes.
+        ``buckets`` maps each occupied bucket's upper edge (plus ``"+Inf"``)
+        to the *cumulative* count at or below it — the Prometheus exposition
+        shape — and the invariant ``buckets["+Inf"] == count`` holds for
+        every snapshot regardless of concurrent observes.
         """
         with self._lock:
-            count, total = self._count, self._total
-            per_bucket = list(self._bucket_counts)
-        cumulative: Dict[str, int] = {}
-        running = 0
-        for bound, bucket_count in zip(self._bounds, per_bucket):
-            running += bucket_count
-            cumulative[repr(bound)] = running
+            count, total = self._histogram.count, self._histogram.sum
+            cumulative = {repr(edge): running for edge, running in self._histogram.cumulative()}
         cumulative["+Inf"] = count
         return {"count": count, "sum": round(total, 6), "buckets": cumulative}
 
@@ -243,11 +282,11 @@ class MetricsRegistry:
                 instrument._watchers = self._observers
             return instrument
 
-    def histogram(self, name: str, window: int = 2048) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
-                instrument = self._histograms[name] = Histogram(name, window=window)
+                instrument = self._histograms[name] = Histogram(name)
                 instrument._watchers = self._observers
             return instrument
 
@@ -358,14 +397,6 @@ class MetricsRegistry:
             providers = {name: self._providers[name] for name in names}
         return {name: provider() for name, provider in providers.items()}
 
-    def record_stage(self, model_id: str, stage: str, seconds: float, stats=None) -> None:
-        """The Telemetry delegation path: route one stage timing through the
-        registry into the per-model ``ModelStats`` (keeping its ``stages()``
-        output byte-compatible) while the registry tallies flow-through."""
-        self.counter("telemetry.stages_recorded").inc()
-        if stats is not None:
-            stats.record_stage(stage, seconds)
-
     def instruments(self) -> Dict[str, object]:
         with self._lock:
             counters = dict(self._counters)
@@ -402,4 +433,4 @@ class MetricsRegistry:
         return sections
 
 
-__all__ = ["Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "LatencyHistogram", "MetricsRegistry"]

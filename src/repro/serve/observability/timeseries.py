@@ -11,11 +11,12 @@ kinds matching the three instrument shapes:
   (resets detected), so :meth:`WindowedSeriesStore.rate` is a true
   events-per-second over any window;
 * **gauge** — last value per bucket (:meth:`WindowedSeriesStore.last`);
-* **observation** (histogram samples) — per-bucket count, sum and a
-  constant-memory :class:`QuantileSketch` (Greenwald–Khanna, the GK/CKMS
-  family), so :meth:`WindowedSeriesStore.quantile` serves p50/p95/p99 and
-  :meth:`WindowedSeriesStore.fraction_above` serves the SLO "how many were
-  slower than the target" question without retaining raw samples.
+* **observation** (histogram samples) — one
+  :class:`~repro.serve.observability.metrics.LatencyHistogram` per bucket;
+  a windowed :meth:`WindowedSeriesStore.quantile` (p50/p95/p99) or
+  :meth:`WindowedSeriesStore.fraction_above` (the SLO "how many were slower
+  than the target" question) merges the window's histograms exactly and
+  reads the result, without retaining raw samples.
 
 The store plugs into a registry as an *observer*
 (:meth:`WindowedSeriesStore.attach` →
@@ -28,145 +29,27 @@ drive bucket rollover deterministically instead of sleeping.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 import time
 from typing import Callable, Dict, List, Optional
+
+from .metrics import LatencyHistogram
 
 COUNTER = "counter"
 GAUGE = "gauge"
 OBSERVATION = "observation"
 
 
-class QuantileSketch:
-    """Greenwald–Khanna streaming quantile summary with ε rank error.
-
-    Constant memory (``O(1/ε · log(εn))`` tuples, in practice a few hundred
-    for ε=0.01), single-pass, no raw sample retention.  The guarantee:
-    :meth:`quantile`\\ (q) returns a value whose *rank* in the stream is
-    within ``ε·n`` of ``q·n`` — the bound the hypothesis property suite
-    pins against exact quantiles.  ``min``/``max``/``sum``/``count`` are
-    tracked exactly.
-    """
-
-    __slots__ = ("epsilon", "_entries", "_count", "_sum", "_min", "_max", "_since_compress")
-
-    def __init__(self, epsilon: float = 0.01) -> None:
-        if not 0.0 < epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 0.5)")
-        self.epsilon = float(epsilon)
-        # Each entry is [value, g, delta]: g is the rank gap to the previous
-        # entry, delta the uncertainty of this entry's rank.
-        self._entries: List[List[float]] = []
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._since_compress = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def min(self) -> float:
-        return self._min
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._sum += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-        entries = self._entries
-        index = bisect.bisect_right([entry[0] for entry in entries], value)
-        if index == 0 or index == len(entries):
-            delta = 0.0  # a new extreme has exact rank
-        else:
-            delta = math.floor(2.0 * self.epsilon * self._count)
-        entries.insert(index, [value, 1.0, delta])
-        self._count += 1
-        self._since_compress += 1
-        if self._since_compress >= max(int(1.0 / (2.0 * self.epsilon)), 1):
-            self._compress()
-
-    def _compress(self) -> None:
-        self._since_compress = 0
-        entries = self._entries
-        threshold = math.floor(2.0 * self.epsilon * self._count)
-        index = len(entries) - 2
-        while index >= 1:
-            current, nxt = entries[index], entries[index + 1]
-            if current[1] + nxt[1] + nxt[2] <= threshold:
-                nxt[1] += current[1]
-                del entries[index]
-            index -= 1
-
-    def quantile(self, q: float) -> Optional[float]:
-        """A value whose rank is within ``ε·n`` of ``q·n``; None when empty."""
-        if self._count == 0:
-            return None
-        if q <= 0.0:
-            return self._min
-        if q >= 1.0:
-            return self._max
-        rank = max(1, math.ceil(q * self._count))
-        margin = self.epsilon * self._count
-        rmin = 0.0
-        previous = self._entries[0][0]
-        for value, g, delta in self._entries:
-            rmin += g
-            if rmin + delta > rank + margin:
-                return previous
-            previous = value
-        return self._entries[-1][0]
-
-    def fraction_at_or_below(self, value: float) -> Optional[float]:
-        """Approximate CDF at ``value`` (rank error within ~2ε); None if empty."""
-        if self._count == 0:
-            return None
-        if value >= self._max:
-            return 1.0
-        if value < self._min:
-            return 0.0
-        rank = 0.0
-        for entry_value, g, _delta in self._entries:
-            if entry_value > value:
-                break
-            rank += g
-        return min(max(rank / self._count, 0.0), 1.0)
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "count": self._count,
-            "sum": round(self._sum, 6),
-            "min": None if self._count == 0 else self._min,
-            "max": None if self._count == 0 else self._max,
-            "entries": len(self._entries),
-            "epsilon": self.epsilon,
-        }
-
-
 class _Bucket:
     """One fixed-interval aggregation bucket of a single series."""
 
-    __slots__ = ("index", "increase", "value", "count", "total", "sketch")
+    __slots__ = ("increase", "value", "histogram")
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.increase = 0.0  # counter: cumulative delta landed in this bucket
         self.value: Optional[float] = None  # gauge: last value seen
-        self.count = 0  # observations landed in this bucket
-        self.total = 0.0
-        self.sketch: Optional[QuantileSketch] = None
+        self.histogram: Optional[LatencyHistogram] = None  # set by the first observation
 
 
 class _Series:
@@ -195,7 +78,6 @@ class WindowedSeriesStore:
         self,
         interval: float = 1.0,
         buckets: int = 120,
-        epsilon: float = 0.01,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval <= 0:
@@ -204,7 +86,6 @@ class WindowedSeriesStore:
             raise ValueError("buckets must be >= 2")
         self.interval = float(interval)
         self.capacity = int(buckets)
-        self.epsilon = float(epsilon)
         self._clock = clock
         self._series: Dict[str, _Series] = {}
         self._lock = threading.Lock()
@@ -217,7 +98,7 @@ class WindowedSeriesStore:
         index = int(self._clock() // self.interval)
         bucket = series.buckets.get(index)
         if bucket is None:
-            bucket = series.buckets[index] = _Bucket(index)
+            bucket = series.buckets[index] = _Bucket()
             floor = index - self.capacity + 1
             if len(series.buckets) > self.capacity:
                 for stale in [i for i in series.buckets if i < floor]:
@@ -280,12 +161,9 @@ class WindowedSeriesStore:
             except KeyError:
                 return
             bucket = self._bucket(series)
-            value = float(value)
-            bucket.count += 1
-            bucket.total += value
-            if bucket.sketch is None:
-                bucket.sketch = QuantileSketch(self.epsilon)
-            bucket.sketch.observe(value)
+            if bucket.histogram is None:
+                bucket.histogram = LatencyHistogram()
+            bucket.histogram.record(value)
 
     # ------------------------------------------------------------------
     # MetricsRegistry observer protocol (see MetricsRegistry.add_observer)
@@ -335,52 +213,25 @@ class WindowedSeriesStore:
             newest = series.buckets[max(series.buckets)]
             return newest.value
 
+    def _window_histogram(self, name: str, window: Optional[float]) -> LatencyHistogram:
+        """The window's observation buckets merged into one histogram."""
+        merged = LatencyHistogram()
+        series = self._series.get(name)
+        if series is not None and series.kind == OBSERVATION:
+            for bucket in self._window_buckets(series, window):
+                merged.merge(bucket.histogram)
+        return merged
+
     def observation_count(self, name: str, window: Optional[float] = None) -> int:
         with self._lock:
-            series = self._series.get(name)
-            if series is None or series.kind != OBSERVATION:
-                return 0
-            return sum(bucket.count for bucket in self._window_buckets(series, window))
+            return self._window_histogram(name, window).count
 
     def quantile(self, name: str, q: float, window: Optional[float] = None) -> Optional[float]:
-        """Windowed quantile estimate; None when the window holds no samples.
-
-        Per-bucket sketches are combined by count-weighted interpolation over
-        a fixed quantile grid — the ring never rebuilds a global sketch, so a
-        query is O(buckets · grid) regardless of stream length.
-        """
+        """Windowed quantile, exact to bucket resolution; None when the
+        window holds no samples."""
         with self._lock:
-            series = self._series.get(name)
-            if series is None or series.kind != OBSERVATION:
-                return None
-            buckets = [
-                bucket
-                for bucket in self._window_buckets(series, window)
-                if bucket.sketch is not None and bucket.count
-            ]
-            if not buckets:
-                return None
-            if len(buckets) == 1:
-                return buckets[0].sketch.quantile(q)
-            grid = 32
-            values: List[float] = []
-            weights: List[float] = []
-            for bucket in buckets:
-                weight = bucket.count / grid
-                for step in range(grid):
-                    point = bucket.sketch.quantile((step + 0.5) / grid)
-                    if point is not None:
-                        values.append(point)
-                        weights.append(weight)
-        order = sorted(range(len(values)), key=values.__getitem__)
-        total = sum(weights)
-        target = q * total
-        running = 0.0
-        for position in order:
-            running += weights[position]
-            if running >= target:
-                return values[position]
-        return values[order[-1]] if order else None
+            histogram = self._window_histogram(name, window)
+        return histogram.quantile(q) if histogram.count else None
 
     def fraction_above(
         self, name: str, threshold: float, window: Optional[float] = None
@@ -388,20 +239,8 @@ class WindowedSeriesStore:
         """Fraction of windowed observations above ``threshold`` (the SLO
         "bad event" ratio for latency objectives); None without samples."""
         with self._lock:
-            series = self._series.get(name)
-            if series is None or series.kind != OBSERVATION:
-                return None
-            total = 0
-            above = 0.0
-            for bucket in self._window_buckets(series, window):
-                if bucket.sketch is None or not bucket.count:
-                    continue
-                cdf = bucket.sketch.fraction_at_or_below(threshold)
-                total += bucket.count
-                above += bucket.count * (1.0 - (cdf if cdf is not None else 1.0))
-        if total == 0:
-            return None
-        return min(max(above / total, 0.0), 1.0)
+            histogram = self._window_histogram(name, window)
+        return histogram.fraction_above(threshold) if histogram.count else None
 
     def quantile_source(
         self, name: str, q: float = 0.95, window: Optional[float] = None
@@ -436,8 +275,8 @@ class WindowedSeriesStore:
                     elif series.kind == GAUGE:
                         point["value"] = bucket.value
                     else:
-                        point["count"] = bucket.count
-                        point["sum"] = round(bucket.total, 6)
+                        point["count"] = bucket.histogram.count
+                        point["sum"] = round(bucket.histogram.sum, 6)
                     points.append(point)
                 series_sections[name] = {"kind": series.kind, "points": points}
             return {
@@ -457,4 +296,4 @@ class WindowedSeriesStore:
             }
 
 
-__all__ = ["COUNTER", "GAUGE", "OBSERVATION", "QuantileSketch", "WindowedSeriesStore"]
+__all__ = ["COUNTER", "GAUGE", "OBSERVATION", "WindowedSeriesStore"]

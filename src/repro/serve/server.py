@@ -125,7 +125,7 @@ class InferenceServer:
     def model_stats(self, model_id: str) -> ModelStats:
         """The live :class:`ModelStats` for ``model_id`` (created on first use).
 
-        Exposed so a cluster router can merge per-replica latency windows
+        Exposed so a cluster router can merge per-replica latency histograms
         (:meth:`ModelStats.merged`) without going through rounded snapshots.
         """
         return self._model_stats(model_id)

@@ -8,35 +8,14 @@ expose them from a monitoring endpoint without holding locks for long.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterable, List
+from collections import OrderedDict
+from typing import Dict, Iterable, List
 
-import numpy as np
+from .observability.metrics import LatencyHistogram
 
-
-class LatencyWindow:
-    """Rolling window of per-request latencies, in seconds."""
-
-    def __init__(self, window: int = 4096) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._samples: Deque[float] = deque(maxlen=window)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def record(self, seconds: float) -> None:
-        self._samples.append(float(seconds))
-
-    def values(self) -> List[float]:
-        """A copy of the raw window samples (for cross-replica merging)."""
-        return list(self._samples)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th latency percentile over the window (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(np.asarray(self._samples), q))
+#: Samples per latency generation: p50/p95 cover the last one or two
+#: generations, so old samples age out by displacement.
+GENERATION = 4096
 
 
 class ModelStats:
@@ -48,7 +27,7 @@ class ModelStats:
     serving one request at a time.
     """
 
-    def __init__(self, max_batch_size: int, window: int = 4096, max_stages: int = 256) -> None:
+    def __init__(self, max_batch_size: int, max_stages: int = 256) -> None:
         if max_stages < 1:
             raise ValueError("max_stages must be >= 1")
         self.max_batch_size = max_batch_size
@@ -60,7 +39,8 @@ class ModelStats:
         #: Stage buckets dropped because the key set outgrew ``max_stages``;
         #: nonzero means the breakdown in :meth:`stages` is partial.
         self.evicted_stages = 0
-        self.latency = LatencyWindow(window)
+        self._previous = LatencyHistogram()
+        self._latency = LatencyHistogram()
         # stage name -> [count, total_seconds]; fed by the Telemetry
         # middleware with the chain's per-hook/model/total timings.  Ordered
         # least- to most-recently recorded so unbounded stage-key cardinality
@@ -75,7 +55,9 @@ class ModelStats:
             self.batches += 1
             self.padded_samples += padded_size
             for value in latencies:
-                self.latency.record(value)
+                if self._latency.count >= GENERATION:
+                    self._previous, self._latency = self._latency, LatencyHistogram()
+                self._latency.record(value)
 
     def record_error(self, count: int = 1) -> None:
         with self._lock:
@@ -85,16 +67,15 @@ class ModelStats:
     def merged(cls, parts: Iterable["ModelStats"]) -> "ModelStats":
         """Aggregate per-replica stats for one model into a cluster-wide view.
 
-        Counters sum; latency percentiles are computed over the *union* of the
-        raw per-replica windows — averaging per-replica p95s would understate
-        tail latency whenever replicas see different load, so the merge keeps
-        every sample.  The merged window is sized to hold all parts' samples.
+        Counters sum; latency histograms merge by adding bucket counts, so
+        the merged p50/p95 are exactly those of the *union* of the replicas'
+        samples — averaging per-replica p95s would understate tail latency
+        whenever replicas see different load.
         """
         parts = list(parts)
         max_batch = max((part.max_batch_size for part in parts), default=1)
-        window = max(sum(len(part.latency) for part in parts), 1)
         max_stages = max((part.max_stages for part in parts), default=256)
-        merged = cls(max_batch, window=window, max_stages=max_stages)
+        merged = cls(max_batch, max_stages=max_stages)
         for part in parts:
             with part._lock:
                 merged.requests += part.requests
@@ -102,10 +83,8 @@ class ModelStats:
                 merged.padded_samples += part.padded_samples
                 merged.errors += part.errors
                 merged.evicted_stages += part.evicted_stages
-                values = part.latency.values()
+                merged._latency.merge(part._previous).merge(part._latency)
                 stages = {stage: list(bucket) for stage, bucket in part._stages.items()}
-            for value in values:
-                merged.latency.record(value)
             for stage, (count, total) in stages.items():
                 bucket = merged._stages.get(stage)
                 if bucket is None:
@@ -151,6 +130,7 @@ class ModelStats:
             mean_batch = requests / batches if batches else 0.0
             fill = mean_batch / self.max_batch_size if self.max_batch_size else 0.0
             pad_overhead = self.padded_samples / requests if requests else 0.0
+            latency = LatencyHistogram().merge(self._previous).merge(self._latency)
             return {
                 "requests": requests,
                 "batches": batches,
@@ -159,7 +139,7 @@ class ModelStats:
                 "mean_batch_size": round(mean_batch, 3),
                 "batch_fill_ratio": round(fill, 4),
                 "padding_overhead_x": round(pad_overhead, 3),
-                "p50_latency_ms": round(self.latency.percentile(50) * 1e3, 4),
-                "p95_latency_ms": round(self.latency.percentile(95) * 1e3, 4),
+                "p50_latency_ms": round(latency.quantile(0.5) * 1e3, 4),
+                "p95_latency_ms": round(latency.quantile(0.95) * 1e3, 4),
                 "stages": stages,
             }

@@ -27,15 +27,28 @@ class TestInstruments:
         metrics.gauge("router.replicas").set(2)
         assert metrics.gauge("router.replicas").value == 2.0
 
-    def test_histogram_summarises_the_window(self):
+    def test_histogram_summarises_every_observation(self):
         metrics = MetricsRegistry()
-        histogram = metrics.histogram("latency", window=8)
+        histogram = metrics.histogram("latency")
         for value in [1.0, 2.0, 3.0, 4.0]:
             histogram.observe(value)
         summary = histogram.summary()
         assert summary["count"] == 4
         assert summary["mean"] == pytest.approx(2.5)
-        assert summary["p50"] == pytest.approx(2.5)
+        # Rank ceil(q * n) read at its bucket's upper edge; 2.0 and 4.0
+        # are edges, so these are exact.
+        assert summary["p50"] == 2.0
+        assert summary["p95"] == 4.0
+
+    def test_histogram_summary_is_cumulative(self):
+        histogram = MetricsRegistry().histogram("latency")
+        for _ in range(1000):
+            histogram.observe(100.0)
+        for _ in range(3000):
+            histogram.observe(1.0)
+        # No sample window: the early slow quarter still owns the tail.
+        assert histogram.summary()["p95"] == 100.0
+        assert histogram.summary()["mean"] == pytest.approx(25.75)
 
     def test_empty_histogram_summary_is_zeroed(self):
         assert MetricsRegistry().histogram("x").summary() == {
@@ -106,11 +119,3 @@ class TestProviders:
         assert snapshot["good"] == {"ok": True}
         assert snapshot["bad"] == {"error": "RuntimeError: component mid-teardown"}
         assert "instruments" in snapshot
-
-    def test_record_stage_tallies_and_delegates(self):
-        metrics = MetricsRegistry()
-        stats = ModelStats(max_batch_size=2)
-        metrics.record_stage("lenet", "model", 0.25, stats)
-        metrics.record_stage("lenet", "model", 0.25, None)  # no stats attached
-        assert metrics.counter("telemetry.stages_recorded").value == 2
-        assert stats.stages()["model"]["count"] == 1

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.serve import MetricsRegistry
-from repro.serve.observability.metrics import DEFAULT_BUCKETS, Histogram
+from repro.serve.observability.metrics import Histogram
 
 
 class TestSnapshotShape:
@@ -24,28 +24,42 @@ class TestSnapshotShape:
         snapshot = histogram.snapshot()
         counts = list(snapshot["buckets"].values())
         assert counts == sorted(counts)  # cumulative, monotone
+        assert counts == [1, 2, 3, 4, 5, 6, 6]  # one occupied edge per value
         assert snapshot["buckets"]["+Inf"] == snapshot["count"] == 6
-        assert snapshot["buckets"][repr(0.005)] == 1  # 0.003 only
         assert snapshot["sum"] == pytest.approx(2022.223)
 
-    def test_value_above_every_bound_lands_only_in_inf(self):
+    def test_edges_are_sorted_log_bucket_upper_bounds(self):
         histogram = Histogram("latency")
-        histogram.observe(max(DEFAULT_BUCKETS) * 10)
-        snapshot = histogram.snapshot()
-        assert snapshot["buckets"][repr(max(DEFAULT_BUCKETS))] == 0
-        assert snapshot["buckets"]["+Inf"] == 1
+        for value in (0.003, 0.02, 0.2, 2.0, 20.0, 2000.0):
+            histogram.observe(value)
+        edges = [float(edge) for edge in histogram.snapshot()["buckets"] if edge != "+Inf"]
+        assert edges == sorted(edges)
+        for value, edge in zip((0.003, 0.02, 0.2, 2.0, 20.0, 2000.0), edges):
+            assert value <= edge < value * 2 ** (1 / 32)
 
     def test_boundary_value_counts_at_or_below_its_bound(self):
         histogram = Histogram("latency")
-        histogram.observe(0.25)  # exactly a bound: le="0.25" must include it
-        assert histogram.snapshot()["buckets"][repr(0.25)] == 1
-
-    def test_custom_buckets(self):
-        histogram = Histogram("latency", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
+        for value in (0.25, 1.0, 2.0):  # exactly edges: le="<edge>" must include them
             histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot["buckets"] == {repr(1.0): 1, repr(10.0): 2, "+Inf": 3}
+        assert histogram.snapshot()["buckets"] == {
+            repr(0.25): 1,
+            repr(1.0): 2,
+            repr(2.0): 3,
+            "+Inf": 3,
+        }
+        for k in range(-64, 64):  # log2 rounds across some edges, e.g. k = -29
+            edge = 2.0 ** (k / 32)
+            histogram = Histogram("latency")
+            histogram.observe(edge)
+            assert histogram.snapshot()["buckets"] == {repr(edge): 1, "+Inf": 1}
+
+    def test_non_positive_values_share_the_zero_bucket(self):
+        histogram = Histogram("latency")
+        for value in (0.0, -1.0, 5.0):
+            histogram.observe(value)
+        buckets = histogram.snapshot()["buckets"]
+        assert buckets[repr(0.0)] == 2
+        assert buckets["+Inf"] == 3
 
     def test_summary_shape_is_unchanged(self):
         histogram = Histogram("latency")

@@ -1,9 +1,8 @@
-"""Telemetry→MetricsRegistry delegation pin and the ModelStats stage cap.
+"""Telemetry's stage breakdown and the ModelStats stage cap.
 
-The delegation contract: wiring a registry into :class:`Telemetry` must not
-change what lands in ``ModelStats.stages()`` by a single byte — the registry
-only *additionally* tallies flow-through.  The stage-key LRU cap bounds the
-memory a hostile/buggy caller can consume via unbounded stage names.
+Telemetry flushes each request's stage timings into ``ModelStats.stages()``;
+the stage-key LRU cap bounds the memory a hostile/buggy caller can consume
+via unbounded stage names.
 """
 
 from __future__ import annotations
@@ -11,44 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import MetricsRegistry, ModelStats, Telemetry
+from repro.serve import ModelStats, Telemetry
 from repro.serve.middleware.base import RequestContext
 
 
-def drive(telemetry: Telemetry, stats: ModelStats, timings) -> None:
-    context = RequestContext(
-        model_id="lenet",
-        sample=np.zeros(1, dtype=np.float32),
-        stats=stats,
-        created_at=0.0,
-    )
-    context.timings.update(timings)
-    context.response = np.zeros(1, dtype=np.float32)
-    telemetry.on_response(context)
-
-
-class TestDelegationRegression:
-    def test_stages_are_byte_identical_with_and_without_registry(self, monkeypatch):
-        """The regression pin: same inputs, same stages() bytes, either path."""
-        monkeypatch.setattr("repro.serve.middleware.telemetry.time.perf_counter", lambda: 0.5)
-        timings = {"RateLimiter.on_request": 0.001, "model": 0.25}
-
-        plain_stats = ModelStats(max_batch_size=4)
-        drive(Telemetry(), plain_stats, timings)
-
-        registry = MetricsRegistry()
-        delegated_stats = ModelStats(max_batch_size=4)
-        drive(Telemetry(metrics=registry), delegated_stats, timings)
-
-        assert delegated_stats.stages() == plain_stats.stages()
-        assert repr(delegated_stats.stages()) == repr(plain_stats.stages())
-        # ...and the registry saw every recording flow through.
-        assert registry.counter("telemetry.stages_recorded").value == len(timings) + 1
-
+class TestTelemetryStages:
     def test_error_and_cache_hit_outcomes_still_counted(self, monkeypatch):
         monkeypatch.setattr("repro.serve.middleware.telemetry.time.perf_counter", lambda: 1.0)
-        registry = MetricsRegistry()
-        telemetry = Telemetry(metrics=registry)
+        telemetry = Telemetry()
         stats = ModelStats(max_batch_size=4)
 
         context = RequestContext(
@@ -74,8 +43,8 @@ class TestDelegationRegression:
         assert stages["request.error"]["count"] == 1
         assert stages["request.cache_hit"]["count"] == 1
 
-    def test_local_fallback_stats_still_work_with_registry(self):
-        telemetry = Telemetry(metrics=MetricsRegistry())
+    def test_local_fallback_stats_still_work(self):
+        telemetry = Telemetry()
         context = RequestContext(model_id="m", sample=np.zeros(1, dtype=np.float32))
         telemetry.on_response(context)  # no server-attached stats
         assert telemetry.snapshot()["m"]["stages"]["request.total"]["count"] == 1

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.serve import MetricsRegistry, QuantileSketch, WindowedSeriesStore
+from repro.serve import MetricsRegistry, WindowedSeriesStore
 
 
 class FakeClock:
@@ -28,54 +28,6 @@ def clock() -> FakeClock:
 @pytest.fixture
 def store(clock: FakeClock) -> WindowedSeriesStore:
     return WindowedSeriesStore(interval=1.0, buckets=10, clock=clock)
-
-
-class TestQuantileSketch:
-    def test_empty_sketch_answers_none(self):
-        sketch = QuantileSketch()
-        assert sketch.quantile(0.5) is None
-        assert sketch.fraction_at_or_below(1.0) is None
-        assert sketch.count == 0
-
-    def test_exact_extremes_and_totals(self):
-        sketch = QuantileSketch()
-        for value in [5.0, 1.0, 3.0, 9.0, 7.0]:
-            sketch.observe(value)
-        assert sketch.min == 1.0
-        assert sketch.max == 9.0
-        assert sketch.count == 5
-        assert sketch.sum == pytest.approx(25.0)
-        assert sketch.quantile(0.0) == 1.0
-        assert sketch.quantile(1.0) == 9.0
-
-    def test_median_of_a_known_stream(self):
-        sketch = QuantileSketch(epsilon=0.01)
-        for value in range(1, 101):
-            sketch.observe(float(value))
-        # ε = 0.01 over n = 100 allows ±1 rank around the 50th value.
-        assert sketch.quantile(0.5) in {49.0, 50.0, 51.0}
-
-    def test_memory_stays_bounded(self):
-        sketch = QuantileSketch(epsilon=0.05)
-        for value in range(100_000):
-            sketch.observe(float(value % 997))
-        # GK retains O(1/ε · log(εn)) entries — far below the stream length.
-        assert sketch.snapshot()["entries"] < 1_000
-
-    def test_cdf_brackets_the_threshold(self):
-        sketch = QuantileSketch(epsilon=0.01)
-        for value in range(1, 1001):
-            sketch.observe(float(value))
-        fraction = sketch.fraction_at_or_below(250.0)
-        assert fraction == pytest.approx(0.25, abs=0.05)
-        assert sketch.fraction_at_or_below(0.0) == 0.0
-        assert sketch.fraction_at_or_below(1000.0) == 1.0
-
-    def test_epsilon_is_validated(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(epsilon=0.0)
-        with pytest.raises(ValueError):
-            QuantileSketch(epsilon=0.7)
 
 
 class TestCounterSeries:
