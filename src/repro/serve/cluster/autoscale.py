@@ -35,23 +35,24 @@ are lost across either transition (the spike scenario in
 
 Policies can also be declared in the TOML ``[cluster.autoscale]`` table (see
 ``docs/configuration.md``); :func:`autoscaler_from_spec` builds the running
-object from a parsed spec, resolving policy names through the same
-registry-pattern used for middleware (:func:`register_scaling_policy`).
+object from a parsed spec, resolving policy names through the shared plugin
+registry (:func:`register_scaling_policy`, a :class:`~repro.serve.plugins.
+Registry` like middleware's).
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..middleware.config import ConfigError
+from ..middleware.config import coerce_spec
+from ..plugins import Registry, UnknownNameError
 from .replica import ReplicaWorker
 from .router import ClusterRouter
 
@@ -620,48 +621,13 @@ class Autoscaler:
 # ----------------------------------------------------------------------
 # Declarative configuration: the [cluster.autoscale] table
 # ----------------------------------------------------------------------
-PolicyFactory = Callable[..., ScalingPolicy]
+UnknownScalingPolicyError = UnknownNameError
 
-_POLICIES: Dict[str, PolicyFactory] = {}
-
-
-class UnknownScalingPolicyError(ConfigError):
-    """A spec names a scaling policy no one registered."""
-
-    def __init__(self, name: str, known: Sequence[str]) -> None:
-        super().__init__(
-            f"unknown scaling policy '{name}'; registered: {sorted(known)} "
-            "(add yours with register_scaling_policy)"
-        )
-        self.name = name
-        self.known = tuple(sorted(known))
-
-
-def register_scaling_policy(
-    name: str, factory: Optional[PolicyFactory] = None, replace: bool = False
-):
-    """Register ``factory`` under ``name`` for ``[cluster.autoscale]`` specs.
-
-    Same decorator-or-direct contract as ``register_middleware``.
-    """
-
-    def _register(target: PolicyFactory) -> PolicyFactory:
-        if not callable(target):
-            raise TypeError(f"scaling policy factory for '{name}' must be callable")
-        if name in _POLICIES and not replace:
-            raise ConfigError(
-                f"scaling policy '{name}' is already registered (pass replace=True)"
-            )
-        _POLICIES[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def registered_scaling_policies() -> Sequence[str]:
-    return tuple(sorted(_POLICIES))
+POLICIES: Registry[ScalingPolicy] = Registry(
+    "scaling policy", ScalingPolicy, "register_scaling_policy"
+)
+register_scaling_policy = POLICIES.register
+registered_scaling_policies = POLICIES.names
 
 
 def build_scaling_policy(
@@ -670,28 +636,7 @@ def build_scaling_policy(
     clock: Callable[[], float] = time.monotonic,
 ) -> ScalingPolicy:
     """Instantiate one registered policy; the clock is injected when accepted."""
-    try:
-        factory = _POLICIES[name]
-    except KeyError:
-        raise UnknownScalingPolicyError(name, tuple(_POLICIES)) from None
-    merged = dict(kwargs or {})
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins without sigs
-        parameters = {}
-    if "clock" in parameters and "clock" not in merged:
-        merged["clock"] = clock
-    try:
-        policy = factory(**merged)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise ConfigError(f"bad arguments for scaling policy '{name}': {error}") from None
-    if not isinstance(policy, ScalingPolicy):
-        raise ConfigError(
-            f"factory for '{name}' returned {type(policy).__name__}, not a ScalingPolicy"
-        )
-    return policy
+    return POLICIES.build(name, kwargs, {"clock": clock})
 
 
 _EXECUTOR_KEYS = ("min_replicas", "max_replicas", "interval", "replica_prefix", "priming")
@@ -712,13 +657,7 @@ def autoscaler_from_spec(
     ``max_replicas`` / ``interval`` / ``replica_prefix`` / ``priming``, and
     everything else is passed to the policy factory as keyword arguments.
     """
-    from ..middleware.config import StackSpec, parse_stack_spec, spec_from_toml
-
-    if isinstance(spec, str):
-        spec = spec_from_toml(spec)
-    elif not isinstance(spec, StackSpec):
-        spec = parse_stack_spec(spec)
-    table = dict(spec.autoscale)
+    table = dict(coerce_spec(spec).autoscale)
     if not table:
         return None
     policy_name = table.pop("policy")

@@ -27,12 +27,13 @@ Spec shape (see ``docs/configuration.md`` for the full reference)::
     [models]
     lenet = "standard"
 
-Middleware names resolve through a process-wide registry: the built-ins are
-pre-registered below, and user classes join with the
-:func:`register_middleware` decorator.  Constructor arguments that are
-runtime objects rather than config values — a ``registry``, an augmentation
-``plan_or_secrets`` — are injected by parameter name from the ``resources``
-mapping passed at build time, so specs stay purely declarative.
+Middleware names resolve through :data:`MIDDLEWARE`, one
+:class:`~repro.serve.plugins.Registry`: the built-ins are pre-registered
+below, and user classes join with the :func:`register_middleware`
+decorator.  Constructor arguments that are runtime objects rather than
+config values — a ``registry``, an augmentation ``plan_or_secrets`` — are
+injected by parameter name from the ``resources`` mapping passed at build
+time, so specs stay purely declarative.
 
 Every malformed spec fails *eagerly* at build time with a typed
 :class:`ConfigError` subclass naming the offending stack/middleware — never
@@ -41,9 +42,8 @@ at request time.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:
     import tomllib  # Python >= 3.11
@@ -53,6 +53,13 @@ except ModuleNotFoundError:  # pragma: no cover - exercised only on 3.10
     except ModuleNotFoundError:
         tomllib = None  # type: ignore[assignment]
 
+from ..plugins import (
+    ConfigError,
+    PluginArgumentsError,
+    Registry,
+    UnknownNameError,
+    parse_entries,
+)
 from .base import RequestContext, ServeMiddleware
 from .cache import ResponseCache
 from .chain import MiddlewareChain, RunModel
@@ -64,31 +71,10 @@ from .validator import Validator
 
 
 # ----------------------------------------------------------------------
-# Typed configuration errors
+# Typed configuration errors and the middleware registry
 # ----------------------------------------------------------------------
-class ConfigError(ValueError):
-    """Base class for malformed middleware-stack specifications."""
-
-
-class UnknownMiddlewareError(ConfigError):
-    """A spec names a middleware no one registered."""
-
-    def __init__(self, name: str, known: Sequence[str]) -> None:
-        super().__init__(
-            f"unknown middleware '{name}'; registered: {sorted(known)} "
-            "(add yours with @register_middleware)"
-        )
-        self.name = name
-        self.known = tuple(sorted(known))
-
-
-class MiddlewareKwargsError(ConfigError):
-    """A middleware entry carries arguments its factory cannot accept."""
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(f"bad arguments for middleware '{name}': {reason}")
-        self.name = name
-        self.reason = reason
+UnknownMiddlewareError = UnknownNameError
+MiddlewareKwargsError = PluginArgumentsError
 
 
 class StackDefinitionError(ConfigError):
@@ -106,126 +92,13 @@ class UnknownStackError(ConfigError):
         self.known = tuple(sorted(known))
 
 
-# ----------------------------------------------------------------------
-# The middleware factory registry
-# ----------------------------------------------------------------------
-MiddlewareFactory = Callable[..., ServeMiddleware]
-
-_FACTORIES: Dict[str, MiddlewareFactory] = {}
-
-
-def register_middleware(
-    name: str, factory: Optional[MiddlewareFactory] = None, replace: bool = False
-):
-    """Register ``factory`` under ``name`` so specs can reference it.
-
-    Usable as a decorator (``@register_middleware("audit")`` on a
-    :class:`ServeMiddleware` subclass) or called directly with a factory.
-    Re-registering an existing name needs ``replace=True``.
-    """
-
-    def _register(target: MiddlewareFactory) -> MiddlewareFactory:
-        if not callable(target):
-            raise TypeError(f"middleware factory for '{name}' must be callable")
-        if name in _FACTORIES and not replace:
-            raise ConfigError(
-                f"middleware name '{name}' is already registered (pass replace=True)"
-            )
-        _FACTORIES[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def registered_middleware() -> Tuple[str, ...]:
-    """The names specs may currently reference, sorted."""
-    return tuple(sorted(_FACTORIES))
-
-
-def resolve_middleware(name: str) -> MiddlewareFactory:
-    try:
-        return _FACTORIES[name]
-    except KeyError:
-        raise UnknownMiddlewareError(name, tuple(_FACTORIES)) from None
-
-
-# Scalar annotations we can check before calling the factory; everything
-# subtler is left to the constructor's own validation (wrapped below).
-_SCALAR_CHECKS: Dict[str, Tuple[type, ...]] = {
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "bool": (bool,),
-}
-
-
-def _check_kwargs(name: str, factory: MiddlewareFactory, kwargs: Mapping[str, object]):
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - builtins without sigs
-        return
-    try:
-        signature.bind_partial(**kwargs)
-    except TypeError as error:
-        raise MiddlewareKwargsError(name, str(error)) from None
-    for key, value in kwargs.items():
-        parameter = signature.parameters.get(key)
-        if parameter is None:  # swallowed by **kwargs
-            continue
-        annotation = parameter.annotation
-        expected = _SCALAR_CHECKS.get(
-            annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
-        )
-        if expected is None:
-            continue
-        if isinstance(value, bool) and bool not in expected:
-            raise MiddlewareKwargsError(
-                name, f"'{key}' expects {annotation}, got bool {value!r}"
-            )
-        if not isinstance(value, expected):
-            raise MiddlewareKwargsError(
-                name,
-                f"'{key}' expects {annotation}, got {type(value).__name__} {value!r}",
-            )
-
-
-def build_middleware(
-    name: str,
-    kwargs: Optional[Mapping[str, object]] = None,
-    resources: Optional[Mapping[str, object]] = None,
-) -> ServeMiddleware:
-    """Instantiate one registered middleware from spec kwargs plus resources.
-
-    ``resources`` entries are injected only where the factory declares a
-    same-named parameter the spec did not already fill, so one resources
-    mapping serves a whole spec: the ``registry`` reaches the validator and
-    the privacy budget, ``plan_or_secrets`` the obfuscation guard, and
-    middlewares that want neither never see them.
-    """
-    factory = resolve_middleware(name)
-    merged = dict(kwargs or {})
-    if resources:
-        try:
-            parameters = inspect.signature(factory).parameters
-        except (TypeError, ValueError):  # pragma: no cover
-            parameters = {}
-        for key, value in resources.items():
-            if key in parameters and key not in merged:
-                merged[key] = value
-    _check_kwargs(name, factory, merged)
-    try:
-        middleware = factory(**merged)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise MiddlewareKwargsError(name, str(error)) from None
-    if not isinstance(middleware, ServeMiddleware):
-        raise MiddlewareKwargsError(
-            name, f"factory returned {type(middleware).__name__}, not a ServeMiddleware"
-        )
-    return middleware
+MIDDLEWARE: Registry[ServeMiddleware] = Registry(
+    "middleware", ServeMiddleware, "register_middleware"
+)
+register_middleware = MIDDLEWARE.register
+registered_middleware = MIDDLEWARE.names
+resolve_middleware = MIDDLEWARE.resolve
+build_middleware = MIDDLEWARE.build
 
 
 # ----------------------------------------------------------------------
@@ -256,32 +129,6 @@ class StackSpec:
     #: :func:`repro.serve.observability.tracer_from_spec`, same direction of
     #: import as ``autoscale`` to keep middleware free of tracer imports.
     observability: Dict[str, object] = field(default_factory=dict)
-
-
-def _parse_entries(stack_name: str, definition: Mapping[str, object]):
-    entries: List[Tuple[str, Dict[str, object]]] = []
-    middleware = definition.get("middleware", [])
-    if not isinstance(middleware, (list, tuple)):
-        raise StackDefinitionError(
-            f"stack '{stack_name}': 'middleware' must be an array of tables"
-        )
-    for index, entry in enumerate(middleware):
-        if isinstance(entry, str):  # bare name shorthand
-            entries.append((entry, {}))
-            continue
-        if not isinstance(entry, Mapping):
-            raise StackDefinitionError(
-                f"stack '{stack_name}' entry {index}: expected a table or name, "
-                f"got {type(entry).__name__}"
-            )
-        kwargs = dict(entry)
-        name = kwargs.pop("name", None)
-        if not isinstance(name, str) or not name:
-            raise StackDefinitionError(
-                f"stack '{stack_name}' entry {index}: missing middleware 'name'"
-            )
-        entries.append((name, kwargs))
-    return entries
 
 
 def parse_stack_spec(spec: Mapping[str, object]) -> StackSpec:
@@ -340,17 +187,23 @@ def parse_stack_spec(spec: Mapping[str, object]) -> StackSpec:
                     f"stack '{name}' extends unknown stack '{parent}'"
                 )
             entries.extend(_resolve(parent, trail + (name,)))
-        entries.extend(_parse_entries(name, definition))
+        entries.extend(
+            parse_entries(
+                definition.get("middleware", []),
+                f"stack '{name}' middleware",
+                "middleware",
+                StackDefinitionError,
+            )
+        )
         resolved[name] = tuple(entries)
         return resolved[name]
 
     for name in definitions:
         _resolve(name, ())
 
-    for name, entries in resolved.items():
+    for entries in resolved.values():
         for middleware_name, _ in entries:
-            if middleware_name not in _FACTORIES:
-                raise UnknownMiddlewareError(middleware_name, tuple(_FACTORIES))
+            resolve_middleware(middleware_name)
 
     def _selection(table_key: str) -> Dict[str, str]:
         table = spec.get(table_key, {})
@@ -400,13 +253,7 @@ def parse_stack_spec(spec: Mapping[str, object]) -> StackSpec:
     observability = dict(observability)
     for key, value in observability.items():
         if key == "exporters":
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(item, (str, Mapping)) for item in value
-            ):
-                raise StackDefinitionError(
-                    "'observability.exporters' must be an array of exporter "
-                    "names or tables"
-                )
+            parse_entries(value, "'observability.exporters'", "exporter", StackDefinitionError)
         elif key == "slo":
             # Shape is validated in depth by slo_from_spec (it owns the typed
             # errors); here only the table-ness is pinned.
@@ -446,6 +293,15 @@ def load_spec(path) -> StackSpec:
     """Read and parse a TOML spec file."""
     with open(path, "r", encoding="utf-8") as handle:
         return spec_from_toml(handle.read())
+
+
+def coerce_spec(spec) -> StackSpec:
+    """A :class:`StackSpec` from TOML text, a raw mapping, or a parsed spec."""
+    if isinstance(spec, StackSpec):
+        return spec
+    if isinstance(spec, str):
+        return spec_from_toml(spec)
+    return parse_stack_spec(spec)
 
 
 # ----------------------------------------------------------------------
@@ -594,10 +450,7 @@ def build_dispatcher(
     :func:`apply_to_cluster` uses to re-root the same spec at its
     ``[cluster]`` scopes.
     """
-    if isinstance(spec, str):
-        spec = spec_from_toml(spec)
-    elif not isinstance(spec, StackSpec):
-        spec = parse_stack_spec(spec)
+    spec = coerce_spec(spec)
     resources = dict(resources or {})
     chains = {
         name: build_chain(entries, resources) for name, entries in spec.stacks.items()
@@ -624,10 +477,7 @@ def apply_to_cluster(router, spec, resources: Optional[Mapping[str, object]] = N
 
     Returns ``(cluster_dispatcher, {replica_id: replica_chain})``.
     """
-    if isinstance(spec, str):
-        spec = spec_from_toml(spec)
-    elif not isinstance(spec, StackSpec):
-        spec = parse_stack_spec(spec)
+    spec = coerce_spec(spec)
     dispatcher = build_dispatcher(
         spec, resources, default_stack=spec.cluster.get("cluster_stack")
     )

@@ -14,47 +14,21 @@ and carries it on ``StackSpec.observability``; this module interprets it::
 
 Exporter names resolve through the :func:`~repro.serve.observability.
 exporters.register_exporter` registry, so user extensions are one decorator
-away — the same pattern ``@register_middleware`` and
-``@register_scaling_policy`` established.
+away — the same :class:`~repro.serve.plugins.Registry` behind
+``@register_middleware`` and ``@register_scaling_policy``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from .exporters import SpanExporter, build_exporter, registered_exporters
+from ..plugins import ConfigError, parse_entries
+from .exporters import SpanExporter, build_exporter
 from .trace import Tracer
 
 
-class ObservabilityConfigError(ValueError):
+class ObservabilityConfigError(ConfigError):
     """A malformed ``[observability]`` block, raised eagerly at build time."""
-
-
-def _parse_exporter_entries(raw: object) -> List[Tuple[str, Dict[str, object]]]:
-    if raw is None:
-        return []
-    if not isinstance(raw, (list, tuple)):
-        raise ObservabilityConfigError(
-            f"'exporters' must be an array of names or tables, got {type(raw).__name__}"
-        )
-    entries: List[Tuple[str, Dict[str, object]]] = []
-    for index, entry in enumerate(raw):
-        if isinstance(entry, str):
-            entries.append((entry, {}))
-            continue
-        if not isinstance(entry, Mapping):
-            raise ObservabilityConfigError(
-                f"'exporters' entry {index}: expected a name or a table, "
-                f"got {type(entry).__name__}"
-            )
-        kwargs = dict(entry)
-        name = kwargs.pop("name", None)
-        if not isinstance(name, str) or not name:
-            raise ObservabilityConfigError(
-                f"'exporters' entry {index}: missing exporter 'name'"
-            )
-        entries.append((name, kwargs))
-    return entries
 
 
 def tracer_from_spec(
@@ -97,17 +71,13 @@ def tracer_from_spec(
             f"'max_spans' must be a positive integer, got {max_spans!r}"
         )
     exporters: List[SpanExporter] = []
-    for name, kwargs in _parse_exporter_entries(table.get("exporters")):
+    for name, kwargs in parse_entries(
+        table.get("exporters") or (), "'exporters'", "exporter", ObservabilityConfigError
+    ):
         try:
             exporters.append(build_exporter(name, kwargs))
-        except KeyError:
-            raise ObservabilityConfigError(
-                f"unknown exporter '{name}'; registered: {list(registered_exporters())}"
-            ) from None
-        except (TypeError, ValueError) as error:
-            raise ObservabilityConfigError(
-                f"bad arguments for exporter '{name}': {error}"
-            ) from None
+        except ConfigError as error:
+            raise ObservabilityConfigError(str(error)) from None
     exporters.extend(extra_exporters)
     return Tracer(
         sample_rate=float(sample_rate), exporters=exporters, max_spans=int(max_spans)

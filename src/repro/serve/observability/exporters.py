@@ -10,16 +10,19 @@ never take serving down with it.  Two built-ins:
   writes metric snapshots (tagged ``"kind": "metrics"``) on demand so one
   file carries a session's full observability record.
 
-User exporters join the name registry with :func:`register_exporter`, which
-is what lets the ``[observability]`` TOML block reference them declaratively
-(see :mod:`repro.serve.observability.config`).
+User exporters (:class:`SpanExporter` subclasses) join the name registry
+with :func:`register_exporter`, which is what lets the ``[observability]``
+TOML block reference them declaratively (see
+:mod:`repro.serve.observability.config`).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
+
+from ..plugins import Registry
 
 
 class SpanExporter:
@@ -180,51 +183,10 @@ class PrometheusExporter(SpanExporter):
 # ----------------------------------------------------------------------
 # The exporter registry (what [observability] exporters = [...] resolves in)
 # ----------------------------------------------------------------------
-ExporterFactory = Callable[..., SpanExporter]
-
-_EXPORTERS: Dict[str, ExporterFactory] = {}
-
-
-def register_exporter(
-    name: str, factory: Optional[ExporterFactory] = None, replace: bool = False
-):
-    """Register ``factory`` under ``name`` for the ``[observability]`` block.
-
-    Usable as a decorator (``@register_exporter("statsd")`` on a
-    :class:`SpanExporter` subclass) or called directly with a factory.
-    """
-
-    def _register(target: ExporterFactory) -> ExporterFactory:
-        if not callable(target):
-            raise TypeError(f"exporter factory for '{name}' must be callable")
-        if name in _EXPORTERS and not replace:
-            raise ValueError(
-                f"exporter name '{name}' is already registered (pass replace=True)"
-            )
-        _EXPORTERS[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def registered_exporters() -> Tuple[str, ...]:
-    return tuple(sorted(_EXPORTERS))
-
-
-def build_exporter(name: str, kwargs: Optional[Dict[str, object]] = None) -> SpanExporter:
-    factory = _EXPORTERS.get(name)
-    if factory is None:
-        raise KeyError(
-            f"unknown exporter '{name}'; registered: {sorted(_EXPORTERS)} "
-            "(add yours with @register_exporter)"
-        )
-    exporter = factory(**dict(kwargs or {}))
-    if not hasattr(exporter, "export"):
-        raise TypeError(f"exporter factory '{name}' returned an object without export()")
-    return exporter
-
+EXPORTERS: Registry[SpanExporter] = Registry("exporter", SpanExporter, "register_exporter")
+register_exporter = EXPORTERS.register
+registered_exporters = EXPORTERS.names
+build_exporter = EXPORTERS.build
 
 register_exporter("memory", InMemoryExporter)
 register_exporter("jsonl", JsonlExporter)

@@ -24,7 +24,8 @@ WindowedSeriesStore` (windows scale with its clock, so tests use second-long
 :class:`AlertEvent` objects fanned out to listeners — the gateway's event
 plane pushes them to subscribed remote clients.  SLO types extend through
 ``@register_slo`` and build from the ``[observability.slo]`` TOML block via
-:func:`slo_from_spec`, both mirroring the middleware/exporter registries.
+:func:`slo_from_spec`, through the same :class:`~repro.serve.plugins.Registry`
+as middleware and exporters.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
+from ..plugins import Registry
 from .config import ObservabilityConfigError
 from .timeseries import WindowedSeriesStore
 
@@ -406,45 +408,10 @@ class AlertManager:
 # ----------------------------------------------------------------------
 # Registry + TOML parsing
 # ----------------------------------------------------------------------
-_SLO_TYPES: Dict[str, Callable[..., object]] = {}
-
-
-def register_slo(name: str, factory: Optional[Callable[..., object]] = None):
-    """Register an objective type for ``[observability.slo]`` specs.
-
-    Decorator or direct form, mirroring ``@register_exporter``::
-
-        @register_slo("latency")
-        class LatencyObjective: ...
-    """
-    if not name:
-        raise ValueError("an SLO type needs a non-empty name")
-
-    def _register(target: Callable[..., object]) -> Callable[..., object]:
-        if name in _SLO_TYPES:
-            raise ValueError(f"SLO type '{name}' is already registered")
-        _SLO_TYPES[name] = target
-        return target
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def registered_slos() -> Tuple[str, ...]:
-    return tuple(sorted(_SLO_TYPES))
-
-
-def _require(table: Mapping[str, object], key: str, index: int) -> object:
-    if key not in table:
-        raise SLOConfigError(f"objectives[{index}]: missing required key '{key}'")
-    return table[key]
-
-
-def _number(value: object, key: str, index: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SLOConfigError(f"objectives[{index}]: '{key}' must be a number, got {value!r}")
-    return float(value)
+# "type" is the kind so unknown names read "unknown type 'x'", the TOML key.
+SLO_TYPES: Registry[object] = Registry("type", object, "register_slo")
+register_slo = SLO_TYPES.register
+registered_slos = SLO_TYPES.names
 
 
 def slo_from_spec(
@@ -503,35 +470,14 @@ def slo_from_spec(
             raise SLOConfigError(
                 f"objectives[{index}]: expected a table, got {type(entry).__name__}"
             )
-        name = _require(entry, "name", index)
-        if not isinstance(name, str) or not name:
-            raise SLOConfigError(f"objectives[{index}]: 'name' must be a non-empty string")
-        kind = _require(entry, "type", index)
-        if not isinstance(kind, str) or kind not in _SLO_TYPES:
-            raise SLOConfigError(
-                f"objectives[{index}]: unknown type {kind!r}; registered: {list(registered_slos())}"
-            )
-        if kind == "latency":
-            objective = LatencyObjective(
-                series=str(_require(entry, "series", index)),
-                target_ms=_number(_require(entry, "target_ms", index), "target_ms", index),
-                quantile=_number(entry.get("quantile", 0.95), "quantile", index),
-            )
-        elif kind == "availability":
-            objective = AvailabilityObjective(
-                total=str(_require(entry, "total", index)),
-                errors=str(_require(entry, "errors", index)),
-                objective=_number(entry.get("objective", 0.999), "objective", index),
-            )
-        else:  # a user-registered type builds itself from the raw entry
-            try:
-                kwargs = {k: v for k, v in entry.items() if k not in ("name", "type")}
-                objective = _SLO_TYPES[kind](**kwargs)
-            except (TypeError, ValueError) as error:
-                raise SLOConfigError(f"objectives[{index}]: {error}") from None
+        for key in ("name", "type"):
+            if not isinstance(entry.get(key), str) or not entry.get(key):
+                raise SLOConfigError(f"objectives[{index}]: '{key}' must be a non-empty string")
+        kwargs = {k: v for k, v in entry.items() if k not in ("name", "type")}
         try:
-            manager.add_slo(SLO(name, objective, rules=default_rules(scale), clock=clock))
-        except ValueError as error:
+            objective = SLO_TYPES.build(entry["type"], kwargs)
+            manager.add_slo(SLO(entry["name"], objective, rules=default_rules(scale), clock=clock))
+        except ValueError as error:  # every ConfigError is a ValueError
             raise SLOConfigError(f"objectives[{index}]: {error}") from None
     return manager
 

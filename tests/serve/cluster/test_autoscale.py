@@ -407,6 +407,8 @@ class TestAutoscaleConfig:
             build_scaling_policy("latency_target", {"target_p95_ms": -1})
         with pytest.raises(ConfigError):
             build_scaling_policy("queue_depth", {"no_such_knob": 1})
+        with pytest.raises(ConfigError):
+            build_scaling_policy("queue_depth", {"high": True, "low": 0.5})
 
     def test_register_custom_policy(self):
         class Never(ScalingPolicy):
@@ -425,7 +427,7 @@ class TestAutoscaleConfig:
         finally:
             from repro.serve.cluster import autoscale as _mod
 
-            _mod._POLICIES.pop("never-test", None)
+            _mod.POLICIES.unregister("never-test")
 
     def test_duplicate_registration_needs_replace(self):
         with pytest.raises(ConfigError):

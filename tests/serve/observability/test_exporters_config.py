@@ -17,7 +17,7 @@ from repro.serve.observability import (
     registered_exporters,
     tracer_from_spec,
 )
-from repro.serve.observability.exporters import _EXPORTERS, build_exporter
+from repro.serve.observability.exporters import EXPORTERS, build_exporter
 
 
 class TestInMemoryExporter:
@@ -75,7 +75,7 @@ class TestExporterRegistry:
                 register_exporter("custom-test", Custom)
             register_exporter("custom-test", Custom, replace=True)
         finally:
-            _EXPORTERS.pop("custom-test", None)
+            EXPORTERS.unregister("custom-test")
 
     def test_unknown_name_raises_keyerror(self):
         with pytest.raises(KeyError, match="unknown exporter"):

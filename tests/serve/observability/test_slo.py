@@ -283,6 +283,7 @@ class TestSpecParsing:
             (lambda t: t["objectives"][0].update(type="bogus"), "unknown type"),
             (lambda t: t["objectives"][0].update(target_ms="fast"), "target_ms"),
             (lambda t: t["objectives"][1].pop("total"), "total"),
+            (lambda t: t["objectives"][0].update(quantil=0.99), "quantil"),
         ],
     )
     def test_shape_errors_are_typed_and_eager(self, store, mutate, fragment):

@@ -27,14 +27,18 @@ from repro.serve import (
     Telemetry,
     UnknownMiddlewareError,
     UnknownStackError,
+    WindowedSeriesStore,
     build_dispatcher,
     build_middleware,
     parse_stack_spec,
     register_middleware,
     registered_middleware,
+    slo_from_spec,
     spec_from_toml,
 )
+from repro.serve.cluster import build_scaling_policy
 from repro.serve.middleware import config as config_module
+from repro.serve.observability import build_exporter
 
 from .conftest import lenet_bundle
 
@@ -174,7 +178,7 @@ class TestRegistry:
             assert isinstance(chain.middlewares[0], Audit)
             assert chain.middlewares[0].level == 3
         finally:
-            config_module._FACTORIES.pop(name, None)
+            config_module.MIDDLEWARE.unregister(name)
 
     def test_duplicate_registration_needs_replace(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -188,7 +192,7 @@ class TestRegistry:
             with pytest.raises(MiddlewareKwargsError, match="not a ServeMiddleware"):
                 build_middleware(name)
         finally:
-            config_module._FACTORIES.pop(name, None)
+            config_module.MIDDLEWARE.unregister(name)
 
     def test_resources_injected_by_parameter_name(self, registry):
         validator = build_middleware("validator", resources={"registry": registry})
@@ -196,6 +200,43 @@ class TestRegistry:
         # A middleware that declares no such parameter never sees the resource.
         telemetry = build_middleware("telemetry", resources={"registry": registry})
         assert not hasattr(telemetry, "registry")
+
+
+def build_slo(**objective):
+    entry = {"name": "p95", "type": "latency", "series": "lat", "target_ms": 50.0}
+    return slo_from_spec({"objectives": [{**entry, **objective}]}, WindowedSeriesStore())
+
+
+class TestOneConfigRoot:
+    """Every plugin kind builds through one registry and fails as a ConfigError."""
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [
+            (lambda: build_middleware("cache", {"capacity": "huge"}), "capacity"),
+            (lambda: build_scaling_policy("queue_depth", {"high": True, "low": 0.5}), "high"),
+            (lambda: build_exporter("statsd-ghost"), "statsd-ghost"),
+            (lambda: build_slo(quantil=0.99), "quantil"),
+        ],
+        ids=["middleware-kwarg", "policy-kwarg", "exporter-name", "slo-key"],
+    )
+    def test_malformed_input_of_every_kind_is_a_config_error(self, build, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, decorator",
+        [
+            (lambda: build_middleware("ghost"), "@register_middleware"),
+            (lambda: build_scaling_policy("ghost"), "@register_scaling_policy"),
+            (lambda: build_exporter("ghost"), "@register_exporter"),
+            (lambda: build_slo(type="ghost"), "@register_slo"),
+        ],
+        ids=["middleware", "policy", "exporter", "slo"],
+    )
+    def test_unknown_names_point_at_the_real_decorator(self, build, decorator):
+        with pytest.raises(ConfigError, match=decorator):
+            build()
 
 
 class TestDispatcherSelection:
