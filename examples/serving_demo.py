@@ -166,7 +166,7 @@ def main() -> None:
         f"(retry in {retry_after:.2f}s)"
     )
 
-    # Telemetry exported the per-stage latency breakdown through ModelStats.
+    # The chain recorded the per-stage latency breakdown into ModelStats.
     stages = guarded_server.stats("mnist-lenet")["stages"]
     for stage in ("request.total", "model", "ResponseCache.on_request"):
         breakdown = stages[stage]

@@ -1007,9 +1007,9 @@ class ClusterRouter:
             replicas = list(self._replicas.values())
         parts: List[ModelStats] = []
         for replica in replicas:
-            served = replica.server.stats().get("models", {})
-            if model_id in served:
-                parts.append(replica.server.model_stats(model_id))
+            stats = replica.server.model_stats(model_id)
+            if stats is not None:
+                parts.append(stats)
         with self._stats_lock:
             if model_id in self._stats:
                 parts.append(self._stats[model_id])

@@ -11,8 +11,9 @@ Built-ins:
 * :class:`ResponseCache` — LRU content-hash memoization of identical samples;
 * :class:`RateLimiter` — per-(tenant, model) token-bucket admission control;
 * :class:`Validator` — shape/dtype contract against registry bundle metadata;
-* :class:`Telemetry` — per-middleware and end-to-end latency breakdown
-  exported through :class:`~repro.serve.stats.ModelStats`;
+* :class:`Telemetry` — a no-op kept so specs that list it still resolve (the
+  chain itself records each request's timings into
+  :class:`~repro.serve.stats.ModelStats`);
 * :class:`ObfuscationGuard` — asserts outgoing samples carry the augmentation
   plan's expected input width (the paper's client-side trust boundary);
 * :class:`PrivacyBudget` — per-tenant cumulative epsilon ledger priced by the

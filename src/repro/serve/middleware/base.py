@@ -78,7 +78,7 @@ class RequestContext:
     timings: Dict[str, float] = field(default_factory=dict)
     response: Optional[np.ndarray] = None
     error: Optional[BaseException] = None
-    stats: Optional[object] = None  # ModelStats, attached by the server
+    stats: Optional[object] = None  # ModelStats the chain records into, host-attached
     #: The request's live :class:`~repro.serve.observability.ActiveSpan`,
     #: attached by whichever host runs a tracer.  ``None`` is the tracing-off
     #: fast path: the chain's one ``is not None`` test per hook is the entire

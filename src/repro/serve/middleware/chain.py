@@ -14,12 +14,13 @@ Semantics (pinned by ``tests/serve/test_middleware.py``):
 * On the way out, ``on_error`` (when an error is set) and ``on_response`` run
   in reverse order for exactly the middlewares whose ``on_request``
   completed — an error raised by middleware *i* still unwinds middlewares
-  ``0..i-1``, so outer telemetry always observes rejected requests.
+  ``0..i-1``.
 * ``on_error`` may recover (clear ``context.error``, set a response); outer
   middlewares then see a success.
 
-Every hook invocation is timed into ``context.timings`` so telemetry can
-export a per-middleware latency breakdown without instrumenting each class.
+Every hook invocation is timed into ``context.timings``; :meth:`exit` then
+records the whole breakdown into the host-attached ``context.stats``, so every
+request is counted whatever the stack's order or contents.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ class MiddlewareChain:
         return entered
 
     def exit(self, context: RequestContext, entered: Sequence[ServeMiddleware]) -> None:
-        """Unwind ``on_error``/``on_response`` in reverse order over ``entered``."""
+        """Unwind ``on_error``/``on_response`` in reverse order over ``entered``,
+        then stamp ``timings["total"]`` and record the request's timings."""
         for middleware in reversed(entered):
             if context.error is not None:
                 try:
@@ -144,6 +146,15 @@ class MiddlewareChain:
             except Exception as error:  # noqa: BLE001
                 context.error = error
         context.timings["total"] = time.perf_counter() - context.created_at
+        stats = context.stats
+        if stats is not None:
+            if context.error is not None:
+                outcome: Optional[str] = "error"
+            elif context.metadata.get("cache") == "hit":
+                outcome = "cache_hit"
+            else:
+                outcome = None
+            stats.record_request(context.timings, outcome)
 
     # ------------------------------------------------------------------
     # Execution
@@ -204,7 +215,7 @@ class MiddlewareChain:
     ) -> None:
         # Batch-level stages happen once for the whole coalesced batch, so
         # each context records its per-request *share* — stage totals stay
-        # additive when Telemetry sums them across requests.
+        # additive when ModelStats sums them across requests.
         batch = BatchContext(model_id=model_id, contexts=pending)
         batch_size = len(pending)
         for middleware in self._middlewares:

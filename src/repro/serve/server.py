@@ -122,13 +122,15 @@ class InferenceServer:
                 self._stats[model_id] = stats
             return stats
 
-    def model_stats(self, model_id: str) -> ModelStats:
-        """The live :class:`ModelStats` for ``model_id`` (created on first use).
+    def model_stats(self, model_id: str) -> Optional[ModelStats]:
+        """The live :class:`ModelStats` for ``model_id`` (``None``, not created,
+        when this server has none).
 
         Exposed so a cluster router can merge per-replica latency histograms
         (:meth:`ModelStats.merged`) without going through rounded snapshots.
         """
-        return self._model_stats(model_id)
+        with self._stats_lock:
+            return self._stats.get(model_id)
 
     def stats(self, model_id: Optional[str] = None) -> Dict[str, object]:
         """Serving stats; pass a model id for one model's snapshot.
@@ -393,11 +395,12 @@ class InferenceServer:
         ``requests`` counts model-served requests; ``errors`` counts every
         failed request from the caller's point of view — model/batcher
         failures *and* middleware rejections such as rate limiting
-        (distinguish them via ``RateLimiter.stats()`` or the Telemetry
-        stage counters); requests a middleware answered (cache hits) appear
-        only in the Telemetry stages (``request.total`` /
-        ``request.cache_hit``).  An empty chain skips the hook plumbing
-        entirely — the common unconfigured server keeps the bare hot path.
+        (distinguish them via ``RateLimiter.stats()`` or the chain-recorded
+        stages); requests a middleware answered (cache hits) appear only in
+        the stages (``request.total`` / ``request.cache_hit``).  Served
+        latencies are each context's ``timings["total"]``.  An empty chain
+        skips the hook plumbing entirely — the common unconfigured server
+        keeps the bare hot path.
         """
         stats = self._model_stats(model_id)
         spans = self._open_request_spans(model_id, contexts, parents)
@@ -421,7 +424,6 @@ class InferenceServer:
 
         chain.execute_batch(contexts, run_model)
 
-        now = time.perf_counter()
         failed = sum(1 for context in contexts if context.error is not None)
         if failed:
             stats.record_error(failed)
@@ -429,7 +431,7 @@ class InferenceServer:
         # hook raised) counts as an error, not a served request.
         succeeded = [context for context in ran if context.error is None]
         if succeeded:
-            latencies = [now - context.created_at for context in succeeded]
+            latencies = [context.timings["total"] for context in succeeded]
             stats.record_batch(len(succeeded), self.batcher.padded_size(len(ran)), latencies)
         self._close_request_spans(contexts, spans)
 

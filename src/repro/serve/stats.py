@@ -1,21 +1,26 @@
 """Serving statistics: request counters, batch-fill accounting, latency percentiles.
 
 Each served model gets one :class:`ModelStats` instance, updated by whichever
-thread executed the batch.  Snapshots are cheap dictionaries so the server can
-expose them from a monitoring endpoint without holding locks for long.
+thread executed the batch; the middleware chain records each request's stage
+timings into it once, as it unwinds.  Snapshots are cheap dictionaries so the
+server can expose them from a monitoring endpoint without holding locks long.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .observability.metrics import LatencyHistogram
 
 #: Samples per latency generation: p50/p95 cover the last one or two
 #: generations, so old samples age out by displacement.
 GENERATION = 4096
+
+#: Stage buckets kept per model; the coldest is evicted past this, so stage
+#: names interpolated with unbounded ids cannot grow memory without bound.
+MAX_STAGES = 256
 
 
 class ModelStats:
@@ -27,22 +32,19 @@ class ModelStats:
     serving one request at a time.
     """
 
-    def __init__(self, max_batch_size: int, max_stages: int = 256) -> None:
-        if max_stages < 1:
-            raise ValueError("max_stages must be >= 1")
+    def __init__(self, max_batch_size: int) -> None:
         self.max_batch_size = max_batch_size
-        self.max_stages = max_stages
         self.requests = 0
         self.batches = 0
         self.padded_samples = 0
         self.errors = 0
-        #: Stage buckets dropped because the key set outgrew ``max_stages``;
+        #: Stage buckets dropped because the key set outgrew ``MAX_STAGES``;
         #: nonzero means the breakdown in :meth:`stages` is partial.
         self.evicted_stages = 0
         self._previous = LatencyHistogram()
         self._latency = LatencyHistogram()
-        # stage name -> [count, total_seconds]; fed by the Telemetry
-        # middleware with the chain's per-hook/model/total timings.  Ordered
+        # stage name -> [count, total_seconds]; fed by the middleware
+        # chain with each request's per-hook/model/total timings.  Ordered
         # least- to most-recently recorded so unbounded stage-key cardinality
         # (e.g. a caller interpolating ids into stage names) evicts the
         # coldest bucket instead of growing without bound.
@@ -73,9 +75,7 @@ class ModelStats:
         whenever replicas see different load.
         """
         parts = list(parts)
-        max_batch = max((part.max_batch_size for part in parts), default=1)
-        max_stages = max((part.max_stages for part in parts), default=256)
-        merged = cls(max_batch, max_stages=max_stages)
+        merged = cls(max((part.max_batch_size for part in parts), default=1))
         for part in parts:
             with part._lock:
                 merged.requests += part.requests
@@ -94,20 +94,32 @@ class ModelStats:
                     bucket[1] += total
         return merged
 
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate one timed occurrence of ``stage`` (e.g. ``"model"``,
-        ``"ResponseCache.on_request"``, ``"request.total"``)."""
+    def record_request(
+        self, timings: Mapping[str, float], outcome: Optional[str] = None
+    ) -> None:
+        """Record one request's timings under one lock: ``timings["total"]``
+        counts as ``request.total`` (and as ``request.<outcome>``, e.g.
+        ``"error"``, when given); every other entry is a stage of its own."""
         with self._lock:
-            bucket = self._stages.get(stage)
-            if bucket is None:
-                self._stages[stage] = [1, float(seconds)]
-                while len(self._stages) > self.max_stages:
-                    self._stages.popitem(last=False)
-                    self.evicted_stages += 1
-            else:
-                bucket[0] += 1
-                bucket[1] += float(seconds)
-                self._stages.move_to_end(stage)
+            for stage, seconds in timings.items():
+                if stage == "total":
+                    self._add_stage("request.total", seconds)
+                    if outcome is not None:
+                        self._add_stage(f"request.{outcome}", seconds)
+                else:
+                    self._add_stage(stage, seconds)
+
+    def _add_stage(self, stage: str, seconds: float) -> None:
+        bucket = self._stages.get(stage)
+        if bucket is None:
+            self._stages[stage] = [1, float(seconds)]
+            if len(self._stages) > MAX_STAGES:
+                self._stages.popitem(last=False)
+                self.evicted_stages += 1
+        else:
+            bucket[0] += 1
+            bucket[1] += float(seconds)
+            self._stages.move_to_end(stage)
 
     def stages(self) -> Dict[str, Dict[str, float]]:
         """Per-stage latency breakdown: count, total and mean milliseconds."""

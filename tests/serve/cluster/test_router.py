@@ -345,9 +345,13 @@ class TestClusterMiddleware:
             router.predict("lenet", images[2])
         assert limiter.stats() == {"admitted": 2, "rejected": 1, "buckets": 1, "pruned": 0}
 
-    def test_rejection_via_submit_future_and_telemetry_observes_it(self, images):
+    @pytest.mark.parametrize("telemetry_first", [True, False])
+    def test_rejection_via_submit_future_and_telemetry_observes_it(
+        self, images, telemetry_first
+    ):
         limiter = RateLimiter(rate=1.0, capacity=1, clock=lambda: 0.0)
-        router = make_router(middleware=[Telemetry(), limiter])
+        stack = [Telemetry(), limiter] if telemetry_first else [limiter, Telemetry()]
+        router = make_router(middleware=stack)
         register_lenet(router)
         with router:
             ok = router.submit("lenet", images[0])

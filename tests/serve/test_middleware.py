@@ -451,23 +451,36 @@ class TestTelemetry:
         assert stages["Tracer[inner].on_request"]["count"] == 1
         assert stages["request.total"]["total_ms"] >= 0.0
 
-    def test_counts_errors_and_cache_hits(self):
-        telemetry = Telemetry()
-        cache = ResponseCache(capacity=4)
-        chain = MiddlewareChain([telemetry, cache, Tracer("boom", fail_on="request")])
+    @pytest.mark.parametrize("position", ["first", "last", "absent"])
+    def test_counts_errors_and_cache_hits(self, position):
+        """The chain counts every outcome, wherever (or whether) Telemetry sits."""
+
+        def chain_of(*middlewares):
+            if position == "first":
+                return MiddlewareChain([Telemetry(), *middlewares])
+            if position == "last":
+                return MiddlewareChain([*middlewares, Telemetry()])
+            return MiddlewareChain(middlewares)
+
+        stats = ModelStats(max_batch_size=1)
         sample = np.ones(2, dtype=np.float32)
-        first = make_context(sample=sample)
-        run_one(chain, first)  # rejected by boom
-        assert isinstance(first.error, MiddlewareError)
-        local = telemetry.snapshot()["m"]["stages"]
-        assert local["request.error"]["count"] == 1
+
+        def run(chain):
+            context = make_context(sample=sample)
+            context.stats = stats
+            return run_one(chain, context)
+
+        cache = ResponseCache(capacity=4)
+        rejected = run(chain_of(cache, Tracer("boom", fail_on="request")))
+        assert isinstance(rejected.error, MiddlewareError)
         # fill the cache (remove boom), then observe a hit
-        ok_chain = MiddlewareChain([telemetry, cache])
-        run_one(ok_chain, make_context(sample=sample))
-        run_one(ok_chain, make_context(sample=sample))
-        local = telemetry.snapshot()["m"]["stages"]
-        assert local["request.cache_hit"]["count"] == 1
-        assert local["request.total"]["count"] == 3
+        ok_chain = chain_of(cache)
+        run(ok_chain)
+        assert run(ok_chain).metadata["cache"] == "hit"
+        stages = stats.stages()
+        assert stages["request.total"]["count"] == 3
+        assert stages["request.error"]["count"] == 1
+        assert stages["request.cache_hit"]["count"] == 1
 
     def test_snapshot_stages_flow_through_server_stats(self, registry, images):
         server = InferenceServer(

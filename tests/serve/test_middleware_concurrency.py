@@ -37,7 +37,7 @@ def chained_server(
 ) -> tuple[InferenceServer, ResponseCache, Telemetry, RateLimiter]:
     """Full-padding server behind Telemetry -> ResponseCache -> RateLimiter.
 
-    Telemetry sits outermost so it observes every request, including cache
+    The chain records every request into the server's stats, including cache
     hits (a hit short-circuits the descent before reaching inner hooks).
     """
     telemetry = Telemetry()
