@@ -44,10 +44,14 @@ def bucket_size(count: int, max_batch_size: int) -> int:
 class Batcher:
     """Stacks single-sample requests into padded batches and runs them.
 
-    ``max_batch_size`` bounds how many requests one forward pass serves;
-    ``max_wait`` is how long (seconds) the server's workers linger for more
-    requests before running a partial batch.  The batcher itself is stateless
-    and thread-safe: all methods are pure functions of their arguments.
+    ``max_batch_size`` bounds how many rows one forward pass serves.
+    ``max_wait`` is the upper bound (seconds) on how long a server worker
+    waits for more requests: the worker first drains whatever is already
+    queued, then waits only while the observed arrival rate predicts another
+    request within the bound (see :mod:`repro.serve.server`), so a lone
+    request never waits and ``max_wait=0`` never waits.  The batcher itself
+    is stateless and thread-safe: all methods are pure functions of their
+    arguments.
     """
 
     def __init__(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, InvalidStateError
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -184,12 +185,12 @@ class ReplicaWorker:
     ) -> List[np.ndarray]:
         self._check_serving()
         with self._lock:
-            self._sync_active += 1
+            self._sync_active += len(samples)
         try:
             return self.server.predict_batch(model_id, samples, tenant=tenant, trace=trace)
         finally:
             with self._lock:
-                self._sync_active -= 1
+                self._sync_active -= len(samples)
 
     def submit(
         self,
@@ -198,28 +199,43 @@ class ReplicaWorker:
         tenant: str = "default",
         trace: Optional[TraceContext] = None,
     ) -> Future:
-        """Enqueue one sample; the future fails typed if this replica dies.
+        """Enqueue one sample; the future fails typed if this replica dies."""
+        traces = None if trace is None else [trace]
+        return self.submit_many(model_id, [sample], tenant=tenant, traces=traces)[0]
 
-        The returned future is replica-owned: it resolves from the inner
-        server's future on success, and :meth:`kill` fails it with
-        :class:`ReplicaUnavailable` without waiting for the dead server.
+    def submit_many(
+        self,
+        model_id: str,
+        samples: Sequence[np.ndarray],
+        tenant: str = "default",
+        traces: Optional[Sequence[Optional[TraceContext]]] = None,
+    ) -> List[Future]:
+        """Enqueue ``samples`` as one server queue item; one future per row.
+
+        The returned futures are replica-owned: each resolves from the inner
+        server's future for its row, and :meth:`kill` fails the outstanding
+        ones with :class:`ReplicaUnavailable` without waiting for the dead
+        server.  The fault hook fires once per call (one dispatch).
         """
         self._check_serving()
-        wrapper: Future = Future()
+        wrappers: List[Future] = [Future() for _ in samples]
         with self._lock:
             if self._killed:  # killed between the check and the registration
                 raise ReplicaUnavailable(self.replica_id, "replica was killed")
-            handle = self._next_handle
-            self._next_handle += 1
-            self._outstanding[handle] = wrapper
+            first = self._next_handle
+            self._next_handle += len(wrappers)
+            for handle, wrapper in enumerate(wrappers, first):
+                self._outstanding[handle] = wrapper
+        handles = range(first, first + len(wrappers))
         try:
-            inner = self.server.submit(model_id, sample, tenant=tenant, trace=trace)
+            inner = self.server.submit_many(model_id, samples, tenant=tenant, traces=traces)
         except Exception:
             with self._lock:
-                self._outstanding.pop(handle, None)
+                for handle in handles:
+                    self._outstanding.pop(handle, None)
             raise
 
-        def _resolve(done: Future) -> None:
+        def _resolve(handle: int, wrapper: Future, done: Future) -> None:
             with self._lock:
                 self._outstanding.pop(handle, None)
             error = done.exception()
@@ -228,8 +244,9 @@ class ReplicaWorker:
             else:
                 self._complete(wrapper, result=done.result())
 
-        inner.add_done_callback(_resolve)
-        return wrapper
+        for handle, wrapper, future in zip(handles, wrappers, inner):
+            future.add_done_callback(partial(_resolve, handle, wrapper))
+        return wrappers
 
     @staticmethod
     def _complete(
@@ -253,7 +270,7 @@ class ReplicaWorker:
             return len(self._outstanding) + self._sync_active
 
     def load(self) -> int:
-        """Outstanding requests on this replica (queued + executing)."""
+        """Outstanding rows on this replica (queued + executing)."""
         return self.in_flight
 
     def heartbeat(self) -> Dict[str, object]:

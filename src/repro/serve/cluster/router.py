@@ -9,18 +9,23 @@ clients (the :class:`~repro.serve.proxy.ExtractionProxy`,
 
 Request flow, concurrent mode::
 
-    submit() ──> cluster MiddlewareChain descent (rate limit, telemetry, ...)
-            ──> AdmissionScheduler (priority + earliest-deadline ordering,
-                dequeue-time shedding with typed DeadlineExceeded)
+    submit_many() ──> cluster MiddlewareChain descent, once per row
+                      (rate limit, telemetry, ...)
+            ──> AdmissionScheduler: the surviving rows as ONE entry
+                (priority + earliest-deadline ordering, dequeue-time
+                shedding with typed DeadlineExceeded)
             ──> dispatcher thread: PlacementPolicy.candidates()
-            ──> ReplicaWorker.submit() ──> replica's own middleware/batcher
+            ──> ReplicaWorker.submit_many() ──> one server queue item,
+                replica's own middleware/batcher, one future per row
             └─ on a retryable failure (ReplicaUnavailable / ServerStopped /
                ServerOverloaded / catalogue miss): record the failure with the
-               HealthMonitor, exclude the replica, re-dispatch to the next
-               candidate — bounded by ``max_retries``.  In-flight requests on
-               a killed replica fail fast with a typed error and take this
-               same path, which is the zero-lost-requests failover guarantee
-               the cluster tests pin.
+               HealthMonitor, exclude the replica, re-dispatch the rows still
+               unresolved to the next candidate — bounded by
+               ``max_retries``.  In-flight rows on a killed replica fail fast
+               with a typed error and take this same path, which is the
+               zero-lost-requests failover guarantee the cluster tests pin.
+
+``submit()`` is ``submit_many()`` of one row.
 
 The sync path (``predict_batch``) runs the identical failover loop on the
 caller's thread.  Middleware composes at two scopes: the router's chain sees
@@ -39,6 +44,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
@@ -69,7 +75,7 @@ _HEALTH_FAILURES = (ReplicaUnavailable, ServerStopped, ServerOverloaded)
 
 @dataclass
 class _ClusterRequest:
-    """Router-side state for one concurrent-mode request."""
+    """Router-side state for one concurrent-mode row."""
 
     model_id: str
     sample: np.ndarray
@@ -77,15 +83,31 @@ class _ClusterRequest:
     future: Future
     context: Optional[RequestContext] = None
     entered: Sequence[object] = ()
-    excluded: Set[str] = field(default_factory=set)
+    #: Replicas tried so far: the ``tried`` list of the dispatch carrying
+    #: this row (one shared list object), empty when the chain answered it.
     tried: List[str] = field(default_factory=list)
-    backoff: Optional[BackoffSession] = None
-    #: The request's ``router.submit`` span (None when untraced), plus the
+    #: The row's ``router.submit`` span (None when untraced), plus the
     #: perf-counter enqueue time so the admission wait becomes a child span
     #: exactly once, at first dispatch or shed.
     span: Optional[ActiveSpan] = None
     queued_at: float = 0.0
     admission_recorded: bool = False
+
+
+@dataclass
+class _Dispatch:
+    """One admission entry: rows that go to one replica per attempt.
+
+    Failover re-dispatches only the rows still unresolved, so ``rows``
+    shrinks across attempts while ``excluded``/``tried`` accumulate.
+    """
+
+    model_id: str
+    tenant: str
+    rows: List[_ClusterRequest]
+    excluded: Set[str] = field(default_factory=set)
+    tried: List[str] = field(default_factory=list)
+    backoff: Optional[BackoffSession] = None
 
 
 class ClusterRouter:
@@ -375,11 +397,10 @@ class ClusterRouter:
     def _drain_admission(self) -> None:
         """Serve or shed every ticket still queued (stop-time + race cleanup)."""
         for ticket, expired in self.admission.drain():
-            request = ticket.payload
             if expired:
-                self._shed(request, ticket)
+                self._shed(ticket.payload, ticket)
             else:
-                self._dispatch_async(request, ticket)
+                self._dispatch_async(ticket.payload, ticket)
 
     def __enter__(self) -> "ClusterRouter":
         return self.start()
@@ -607,56 +628,10 @@ class ClusterRouter:
         links the request into a caller's trace (the gateway passes its
         request span); with a tracer but no parent the router roots one.
         """
-        with self._lifecycle_lock:
-            if not self._running:
-                if self._stopped:
-                    raise ServerStopped(
-                        "cluster has been stopped; call start() again before submit()"
-                    )
-                raise RuntimeError("cluster is not started; call start() or use predict()")
-        absolute = None if deadline is None else self._clock() + float(deadline)
-        request = _ClusterRequest(
-            model_id=model_id, sample=np.asarray(sample), tenant=tenant, future=Future()
-        )
-        if self.tracer is not None:
-            request.span = self.tracer.start_span(
-                "router.submit",
-                parent=trace,
-                attributes={"model_id": model_id, "tenant": tenant},
-            )
-        chain = self.middleware
-        if chain:
-            context = RequestContext(
-                model_id=model_id,
-                sample=request.sample,
-                tenant=tenant,
-                source="cluster",
-                deadline=absolute,
-            )
-            context.stats = self._model_stats(model_id)
-            context.trace = request.span
-            request.context = context
-            request.entered = chain.enter(context)
-            if context.answered:  # short-circuited or rejected cluster-wide
-                self._finish(request)
-                return request.future
-        request.queued_at = time.perf_counter()
-        try:
-            self.admission.submit(
-                model_id, tenant, deadline=absolute, priority=priority, payload=request
-            )
-        except ServerOverloaded as error:
-            if not request.entered:
-                raise
-            self._fail(request, error)
-            return request.future
-        # stop() may have run between the lifecycle check and the enqueue; the
-        # dispatcher is gone then, so drain whatever raced in (ours included)
-        # ourselves — admission.drain() hands each ticket to exactly one
-        # caller, so this cannot double-complete a request stop() already saw.
-        if not self._running:
-            self._drain_admission()
-        return request.future
+        traces = None if trace is None else [trace]
+        return self.submit_many(
+            model_id, [sample], tenant=tenant, deadline=deadline, priority=priority, traces=traces
+        )[0]
 
     def submit_many(
         self,
@@ -665,11 +640,89 @@ class ClusterRouter:
         tenant: str = "default",
         deadline: Optional[float] = None,
         priority: Optional[int] = None,
+        traces: Optional[Sequence[Optional[TraceContext]]] = None,
     ) -> List[Future]:
-        return [
-            self.submit(model_id, sample, tenant=tenant, deadline=deadline, priority=priority)
+        """Queue ``samples`` as one admission entry; one future per row.
+
+        The cluster chain's ``enter`` runs once per row, so rate-limit tokens
+        and privacy-budget charges equal those of one-by-one submission, and
+        rows the chain answers resolve at once.  The surviving rows share one
+        admission entry, one replica dispatch per attempt and one server
+        queue item.  ``traces`` gives each row its parent trace context.
+        With no cluster chain, a full admission queue raises
+        :class:`ServerOverloaded` before any row is queued.
+        """
+        with self._lifecycle_lock:
+            if not self._running:
+                if self._stopped:
+                    raise ServerStopped(
+                        "cluster has been stopped; call start() again before submit()"
+                    )
+                raise RuntimeError("cluster is not started; call start() or use predict()")
+        absolute = None if deadline is None else self._clock() + float(deadline)
+        rows = [
+            _ClusterRequest(
+                model_id=model_id, sample=np.asarray(sample), tenant=tenant, future=Future()
+            )
             for sample in samples
         ]
+        futures = [row.future for row in rows]
+        if self.tracer is not None:
+            for index, row in enumerate(rows):
+                row.span = self.tracer.start_span(
+                    "router.submit",
+                    parent=None if traces is None else traces[index],
+                    attributes={"model_id": model_id, "tenant": tenant},
+                )
+        pending = rows
+        chain = self.middleware
+        if chain:
+            stats = self._model_stats(model_id)
+            pending = []
+            for row in rows:
+                context = RequestContext(
+                    model_id=model_id,
+                    sample=row.sample,
+                    tenant=tenant,
+                    source="cluster",
+                    deadline=absolute,
+                )
+                context.stats = stats
+                context.trace = row.span
+                row.context = context
+                row.entered = chain.enter(context)
+                if context.answered:  # short-circuited or rejected cluster-wide
+                    self._count("failed" if context.error is not None else "completed")
+                    self._finish(row)
+                else:
+                    pending.append(row)
+        if not pending:
+            return futures
+        unit = _Dispatch(model_id=model_id, tenant=tenant, rows=pending)
+        queued_at = time.perf_counter()
+        for row in pending:
+            row.tried = unit.tried
+            row.queued_at = queued_at
+        try:
+            self.admission.submit(
+                model_id, tenant, deadline=absolute, priority=priority, payload=unit
+            )
+        except ServerOverloaded as error:
+            if not any(row.entered for row in pending):
+                for row in pending:
+                    if row.span is not None:
+                        row.span.end(error=error)
+                raise
+            for row in pending:
+                self._fail(row, error)
+            return futures
+        # stop() may have run between the lifecycle check and the enqueue; the
+        # dispatcher is gone then, so drain whatever raced in (ours included)
+        # ourselves — admission.drain() hands each ticket to exactly one
+        # caller, so this cannot double-complete a request stop() already saw.
+        if not self._running:
+            self._drain_admission()
+        return futures
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -679,11 +732,101 @@ class ClusterRouter:
                     return
                 continue
             ticket, expired = item
-            request: _ClusterRequest = ticket.payload
             if expired:
-                self._shed(request, ticket)
+                self._shed(ticket.payload, ticket)
             else:
-                self._dispatch_async(request, ticket)
+                self._dispatch_async(ticket.payload, ticket)
+
+    def _dispatch_async(self, unit: _Dispatch, ticket: AdmissionTicket) -> None:
+        for row in unit.rows:
+            self._record_admission_wait(row)
+        if ticket.deadline < self._clock():  # expired while failing over
+            self._shed(unit, ticket)
+            return
+        replica: Optional[ReplicaWorker] = None
+        while replica is None:
+            candidates = self.placement.candidates(unit.model_id, self._routable(unit.excluded))
+            if not candidates:
+                if unit.tried:
+                    error: BaseException = FailoverExhausted(
+                        unit.model_id, len(unit.tried), unit.tried
+                    )
+                else:
+                    error = NoHealthyReplica(unit.model_id, unit.excluded)
+                for row in unit.rows:
+                    self._fail(row, error)
+                return
+            replica = candidates[0]
+            # Dispatch-time probe commit (see _dispatch_sync): a replica whose
+            # breaker opened since listing is excluded, not counted as tried.
+            if not self.health.try_dispatch(replica.replica_id):
+                unit.excluded.add(replica.replica_id)
+                replica = None
+        unit.tried.append(replica.replica_id)
+        rows = unit.rows
+        self._count_failover(replica.replica_id, "attempts", len(rows))
+        # One child span per row and dispatch attempt: failover shows up as
+        # sibling ``router.dispatch`` spans, the failed ones error-tagged.
+        attributes = {"replica_id": replica.replica_id, "attempt": len(unit.tried)}
+        attempts: List[Optional[ActiveSpan]] = [
+            None if row.span is None else row.span.child("router.dispatch", attributes=attributes)
+            for row in rows
+        ]
+        samples = [row.sample for row in rows]
+        try:
+            # Pass the traces kwarg only when tracing so duck-typed replica
+            # wrappers with the untraced signature keep working.
+            if rows[0].span is None:
+                inner = replica.submit_many(unit.model_id, samples, tenant=unit.tenant)
+            else:
+                inner = replica.submit_many(
+                    unit.model_id,
+                    samples,
+                    tenant=unit.tenant,
+                    traces=[None if span is None else span.context for span in attempts],
+                )
+        except _RETRYABLE as error:
+            self._end_spans(attempts, error)
+            self._after_failure(unit, ticket, replica, error)
+            return
+        except Exception as error:  # noqa: BLE001 - non-retryable, pre-enqueue
+            self._end_spans(attempts, error)
+            for row in rows:
+                self._fail(row, error)  # never reached the replica's accounting
+            return
+
+        lock = threading.Lock()
+        unsettled = [len(rows)]
+        retryable: Dict[int, BaseException] = {}
+
+        def _resolve(index: int, done: Future) -> None:
+            error = done.exception()
+            if attempts[index] is not None:
+                attempts[index].end(error=error)
+            if error is None:
+                self.health.record_success(replica.replica_id)
+                self._succeed(rows[index], done.result())
+            elif not isinstance(error, _RETRYABLE):
+                self._fail(rows[index], error, record=False)  # the replica counted it
+            with lock:
+                if isinstance(error, _RETRYABLE):
+                    retryable[index] = error
+                unsettled[0] -= 1
+                last = unsettled[0] == 0
+            if last and retryable:
+                # Once the attempt has settled, only its unresolved rows fail
+                # over, together, as the same admission entry.
+                unit.rows = [rows[index] for index in sorted(retryable)]
+                self._after_failure(unit, ticket, replica, next(iter(retryable.values())))
+
+        for index, future in enumerate(inner):
+            future.add_done_callback(partial(_resolve, index))
+
+    @staticmethod
+    def _end_spans(spans: Sequence[Optional[ActiveSpan]], error: BaseException) -> None:
+        for span in spans:
+            if span is not None:
+                span.end(error=error)
 
     def _record_admission_wait(self, request: _ClusterRequest) -> None:
         """Stamp the admission-queue wait as a child span, exactly once."""
@@ -692,132 +835,60 @@ class ClusterRouter:
             request.admission_recorded = True
             span.record("router.admission", request.queued_at, time.perf_counter())
 
-    def _dispatch_async(self, request: _ClusterRequest, ticket: AdmissionTicket) -> None:
-        self._record_admission_wait(request)
-        if ticket.deadline < self._clock():  # expired while failing over
-            self._shed(request, ticket)
-            return
-        replica: Optional[ReplicaWorker] = None
-        while replica is None:
-            candidates = self.placement.candidates(
-                request.model_id, self._routable(request.excluded)
-            )
-            if not candidates:
-                if request.tried:
-                    error: BaseException = FailoverExhausted(
-                        request.model_id, len(request.tried), request.tried
-                    )
-                else:
-                    error = NoHealthyReplica(request.model_id, request.excluded)
-                self._fail(request, error)
-                return
-            replica = candidates[0]
-            # Dispatch-time probe commit (see _dispatch_sync): a replica whose
-            # breaker opened since listing is excluded, not counted as tried.
-            if not self.health.try_dispatch(replica.replica_id):
-                request.excluded.add(replica.replica_id)
-                replica = None
-        request.tried.append(replica.replica_id)
-        self._count_failover(replica.replica_id, "attempts")
-        attempt: Optional[ActiveSpan] = None
-        if request.span is not None:
-            # One child span per dispatch attempt: failover shows up as
-            # sibling ``router.dispatch`` spans, the failed ones error-tagged.
-            attempt = request.span.child(
-                "router.dispatch",
-                attributes={
-                    "replica_id": replica.replica_id,
-                    "attempt": len(request.tried),
-                },
-            )
-        try:
-            # Pass the trace kwarg only when tracing so duck-typed replica
-            # wrappers with the historical signature keep working untraced.
-            if attempt is None:
-                inner = replica.submit(
-                    request.model_id, request.sample, tenant=request.tenant
-                )
-            else:
-                inner = replica.submit(
-                    request.model_id,
-                    request.sample,
-                    tenant=request.tenant,
-                    trace=attempt.context,
-                )
-        except _RETRYABLE as error:
-            if attempt is not None:
-                attempt.end(error=error)
-            self._after_failure(request, ticket, replica, error)
-            return
-        except Exception as error:  # noqa: BLE001 - non-retryable, pre-enqueue
-            if attempt is not None:
-                attempt.end(error=error)
-            self._fail(request, error)  # never reached the replica's accounting
-            return
-
-        def _resolve(done: Future) -> None:
-            error = done.exception()
-            if attempt is not None:
-                attempt.end(error=error)
-            if error is None:
-                self.health.record_success(replica.replica_id)
-                self._succeed(request, done.result())
-            elif isinstance(error, _RETRYABLE):
-                self._after_failure(request, ticket, replica, error)
-            else:
-                self._fail(request, error, record=False)  # the replica counted it
-
-        inner.add_done_callback(_resolve)
-
     def _after_failure(
         self,
-        request: _ClusterRequest,
+        unit: _Dispatch,
         ticket: AdmissionTicket,
         replica: ReplicaWorker,
         error: BaseException,
     ) -> None:
-        """One replica failed the request: exclude it and retry if budget allows."""
-        request.excluded.add(replica.replica_id)
-        self._count_failover(replica.replica_id, "failures")
+        """One replica failed ``unit.rows``: exclude it and retry if budget allows.
+
+        Failures and failovers count per row, as if the rows had been sent
+        one by one, so a failed batch weighs on health like its rows would.
+        """
+        unit.excluded.add(replica.replica_id)
+        failed = len(unit.rows)
+        self._count_failover(replica.replica_id, "failures", failed)
         if isinstance(error, _HEALTH_FAILURES):
-            self.health.record_failure(replica.replica_id)
-        self._count("failovers")
-        if len(request.tried) <= self.max_retries:
+            for _ in range(failed):
+                self.health.record_failure(replica.replica_id)
+        self._count("failovers", failed)
+        if len(unit.tried) <= self.max_retries:
             if self.retry is not None:
                 # Pace the re-dispatch.  This may run on a replica callback
                 # thread; delays are the policy's (small, capped) jitter and
                 # the sleep is injectable, so tests never actually wait.
-                if request.backoff is None:
-                    request.backoff = self.retry.session()
-                self._record_backoff(request.backoff.pause())
-            self._dispatch_async(request, ticket)  # depth bounded by max_retries
+                if unit.backoff is None:
+                    unit.backoff = self.retry.session()
+                self._record_backoff(unit.backoff.pause())
+            self._dispatch_async(unit, ticket)  # depth bounded by max_retries
         else:
-            self._fail(
-                request,
-                FailoverExhausted(request.model_id, len(request.tried), request.tried, error),
-            )
+            exhausted = FailoverExhausted(unit.model_id, len(unit.tried), unit.tried, error)
+            for row in unit.rows:
+                self._fail(row, exhausted)
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
     def _on_evicted(self, ticket: AdmissionTicket) -> None:
-        request: _ClusterRequest = ticket.payload
-        self._fail(
-            request,
-            ServerOverloaded(
-                f"request for tenant '{request.tenant}' evicted from a full "
-                "admission queue by a more urgent request"
-            ),
+        unit: _Dispatch = ticket.payload
+        error = ServerOverloaded(
+            f"request for tenant '{unit.tenant}' evicted from a full "
+            "admission queue by a more urgent request"
         )
+        for row in unit.rows:
+            self._fail(row, error)
 
-    def _shed(self, request: _ClusterRequest, ticket: AdmissionTicket) -> None:
-        self._record_admission_wait(request)
-        self._count("shed")
-        self._fail(
-            request,
-            DeadlineExceeded(request.model_id, request.tenant, ticket.deadline, self._clock()),
-            count_failed=False,
-        )
+    def _shed(self, unit: _Dispatch, ticket: AdmissionTicket) -> None:
+        for row in unit.rows:
+            self._record_admission_wait(row)
+            self._count("shed")
+            self._fail(
+                row,
+                DeadlineExceeded(row.model_id, row.tenant, ticket.deadline, self._clock()),
+                count_failed=False,
+            )
 
     def _succeed(self, request: _ClusterRequest, result: object) -> None:
         self._count("completed")
@@ -897,13 +968,13 @@ class ClusterRouter:
         with self._counters_lock:
             return self._counters.get(key, 0)
 
-    def _count_failover(self, replica_id: str, key: str) -> None:
+    def _count_failover(self, replica_id: str, key: str, amount: int = 1) -> None:
         with self._counters_lock:
             entry = self._failover.get(replica_id)
             if entry is None:
                 entry = {"attempts": 0, "failures": 0}
                 self._failover[replica_id] = entry
-            entry[key] += 1
+            entry[key] += amount
 
     def _record_backoff(self, delay: float) -> None:
         with self._counters_lock:

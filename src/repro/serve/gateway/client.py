@@ -6,7 +6,9 @@ handshake, gates sends on the granted in-flight window (so a well-behaved
 client never triggers server-side
 :class:`~repro.serve.gateway.errors.Backpressure`), and pipelines requests —
 responses arrive in completion order and are matched back by request id, so
-``predict_batch`` keeps the wire full without head-of-line blocking.
+concurrent ``predict`` calls share the wire without head-of-line blocking.
+``predict_batch`` sends its rows as one BATCH frame instead: one window
+slot, one round trip, every row answered in one BATCH_REPLY.
 
 :class:`RemoteClient` wraps a pool of those connections behind the exact
 synchronous surface the in-process stack exposes (``predict`` /
@@ -42,7 +44,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -55,6 +59,8 @@ from ..server import ServerStopped
 from .errors import ConnectionClosed, ProtocolError
 from .wire import (
     Ack,
+    BatchReply,
+    BatchRequest,
     ErrorFrame,
     Event,
     Goodbye,
@@ -94,6 +100,7 @@ class _Pending:
 
     future: asyncio.Future
     data: bytes
+    rows: int = 1
 
 
 class AsyncRemoteClient:
@@ -218,7 +225,7 @@ class AsyncRemoteClient:
                 if frame is None:
                     resumable = True  # unannounced EOF (no GOODBYE)
                     break
-                if isinstance(frame, (Response, Ack, ObserveReply)):
+                if isinstance(frame, (Response, BatchReply, Ack, ObserveReply)):
                     entry = self._pending.pop(frame.request_id, None)
                     if entry is not None and not entry.future.done():
                         entry.future.set_result(frame)
@@ -342,7 +349,7 @@ class AsyncRemoteClient:
                 pass
         self._ready.set()
 
-    async def _roundtrip(self, build: Callable[[int], object]):
+    async def _roundtrip(self, build: Callable[[int], object], rows: int = 1):
         """Allocate an id, send the frame, await its matched reply frame.
 
         The window slot is acquired before the send and — crucially — held
@@ -364,9 +371,9 @@ class AsyncRemoteClient:
             # Encode before registering: an encode-time ProtocolError
             # (object-dtype sample, oversize frame) leaves no pending entry.
             data = encode_frame(build(request_id))
-            self._pending[request_id] = _Pending(future, data)
-            self._ledger["submitted"] += 1
-            future.add_done_callback(self._account)
+            self._pending[request_id] = _Pending(future, data, rows)
+            self._ledger["submitted"] += rows
+            future.add_done_callback(partial(self._account, rows))
             try:
                 await self._send_bytes(data)
             except ProtocolError:
@@ -422,12 +429,15 @@ class AsyncRemoteClient:
 
                 future.add_done_callback(_settle)
 
-    def _account(self, settled: asyncio.Future) -> None:
-        """Ledger bookkeeping: every submitted request resolves exactly once."""
+    def _account(self, rows: int, settled: asyncio.Future) -> None:
+        """Ledger bookkeeping: every submitted row resolves exactly once."""
         if settled.cancelled() or settled.exception() is not None:
-            self._ledger["failed"] += 1
-        else:
-            self._ledger["succeeded"] += 1
+            self._ledger["failed"] += rows
+            return
+        reply = settled.result()
+        failed = len(reply.errors) if isinstance(reply, BatchReply) else 0
+        self._ledger["failed"] += failed
+        self._ledger["succeeded"] += rows - failed
 
     # ------------------------------------------------------------------
     # Serving surface
@@ -439,30 +449,40 @@ class AsyncRemoteClient:
         deadline: Optional[float] = None,
         priority: Optional[int] = None,
     ) -> np.ndarray:
+        reply = await self._traced_roundtrip(
+            model_id,
+            lambda request_id, trace: Request(
+                request_id=request_id,
+                model_id=model_id,
+                sample=np.asarray(sample),
+                deadline=deadline,
+                priority=priority,
+                trace=trace,
+            ),
+        )
+        return reply.output
+
+    async def _traced_roundtrip(
+        self, model_id: str, build: Callable[[int, Optional[object]], object], rows: int = 1
+    ):
+        """Round-trip ``build(request_id, trace)`` under a ``client.submit``
+        span when tracing; the span's context rides the frame as ``trace``."""
         span: Optional[ActiveSpan] = None
         if self.tracer is not None:
             span = self.tracer.start_span(
                 "client.submit",
                 attributes={"model_id": model_id, "tenant": self.tenant},
             )
+        trace = None if span is None else span.context
         try:
-            reply = await self._roundtrip(
-                lambda request_id: Request(
-                    request_id=request_id,
-                    model_id=model_id,
-                    sample=np.asarray(sample),
-                    deadline=deadline,
-                    priority=priority,
-                    trace=None if span is None else span.context,
-                )
-            )
+            reply = await self._roundtrip(lambda request_id: build(request_id, trace), rows)
         except BaseException as error:
             if span is not None:
                 span.end(error=error)
             raise
         if span is not None:
             span.end()
-        return reply.output
+        return reply
 
     async def observe(self, what: str = "all", max_spans: int = 128) -> Dict[str, object]:
         """Pull the gateway's live observability snapshot over the wire.
@@ -520,6 +540,35 @@ class AsyncRemoteClient:
                 )
             await asyncio.wait_for(self._event_pulse.wait(), timeout=remaining)
 
+    async def predict_rows(
+        self,
+        model_id: str,
+        samples: Sequence[np.ndarray],
+        deadline: Optional[float] = None,
+        priority: Optional[int] = None,
+    ) -> List[object]:
+        """Send ``samples`` as one BATCH frame; each row's output or typed error.
+
+        The batch takes one window slot and one round trip; the gateway runs
+        its rows as one unit and answers every row exactly once.
+        """
+        if len(samples) == 0:
+            return []
+        stacked = np.stack([np.asarray(sample) for sample in samples])
+        reply = await self._traced_roundtrip(
+            model_id,
+            lambda request_id, trace: BatchRequest(
+                request_id=request_id,
+                model_id=model_id,
+                samples=stacked,
+                deadline=deadline,
+                priority=priority,
+                trace=trace,
+            ),
+            rows=len(stacked),
+        )
+        return reply.outcomes()
+
     async def predict_batch(
         self,
         model_id: str,
@@ -527,24 +576,16 @@ class AsyncRemoteClient:
         deadline: Optional[float] = None,
         priority: Optional[int] = None,
     ) -> List[np.ndarray]:
-        """Pipelined batch: up to ``window`` requests in flight at once.
+        """One BATCH round trip; raises the first failed row's error.
 
-        One failure does not cancel siblings mid-wire (their requests occupy
-        server window slots until answered); every request runs to its reply
-        and the first error is raised after — the same fail-fast surface as
-        the in-process ``predict_batch``.
+        The same fail-fast surface as the in-process ``predict_batch``; use
+        :meth:`predict_rows` when the outcome of every row matters.
         """
-        results = await asyncio.gather(
-            *(
-                self.predict(model_id, sample, deadline=deadline, priority=priority)
-                for sample in samples
-            ),
-            return_exceptions=True,
-        )
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return list(results)
+        outcomes = await self.predict_rows(model_id, samples, deadline=deadline, priority=priority)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return outcomes
 
     async def register(
         self,
@@ -601,16 +642,18 @@ class AsyncRemoteClient:
         return self._closed
 
     def ledger(self) -> Dict[str, int]:
-        """Request accounting; ``submitted == succeeded + failed + pending``."""
-        return {**self._ledger, "pending": len(self._pending)}
+        """Row accounting; ``submitted == succeeded + failed + pending``."""
+        # Copy first: callers on other threads read while the loop mutates.
+        pending = sum(entry.rows for entry in list(self._pending.values()))
+        return {**self._ledger, "pending": pending}
 
 
 class RemoteClient:
     """Sync facade over a pool of gateway connections on a private event loop.
 
     Drop-in for the in-process serving surface: ``predict(model_id, sample)``
-    blocks for one round trip, ``predict_batch`` fans a batch across the pool
-    (each connection pipelines up to its granted window), ``submit`` returns
+    blocks for one round trip, ``predict_batch``/``submit_many`` send a batch
+    as one BATCH frame on one pooled connection, ``submit`` returns
     a :class:`concurrent.futures.Future` exactly like ``InferenceServer`` and
     ``ClusterRouter`` do — which is what lets ``ExtractionProxy.submit`` work
     unchanged over the network — and ``register`` is signature-compatible
@@ -728,11 +771,33 @@ class RemoteClient:
         samples: Sequence[np.ndarray],
         deadline: Optional[float] = None,
         priority: Optional[int] = None,
-    ) -> List:
-        return [
-            self.submit(model_id, sample, deadline=deadline, priority=priority)
-            for sample in samples
-        ]
+    ) -> List[Future]:
+        """Send ``samples`` as one BATCH frame; one future per row.
+
+        Every future resolves when the batch reply lands: to the row's output
+        or its typed error.
+        """
+        futures: List[Future] = [Future() for _ in samples]
+        if not futures:
+            return futures
+        batch = asyncio.run_coroutine_threadsafe(
+            self._connection().predict_rows(
+                model_id, samples, deadline=deadline, priority=priority
+            ),
+            self._loop,
+        )
+
+        def _fan_out(done) -> None:
+            error = done.exception()
+            outcomes = [error] * len(futures) if error is not None else done.result()
+            for future, outcome in zip(futures, outcomes):
+                if isinstance(outcome, BaseException):
+                    future.set_exception(outcome)
+                else:
+                    future.set_result(outcome)
+
+        batch.add_done_callback(_fan_out)
+        return futures
 
     def predict(
         self,

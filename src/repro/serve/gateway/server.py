@@ -3,9 +3,9 @@
 One gateway owns one asyncio event loop on a dedicated thread and exposes a
 backend — a started :class:`~repro.serve.cluster.ClusterRouter`, a single
 :class:`~repro.serve.server.InferenceServer`, or anything with the same
-``predict``/``submit`` surface — over TCP using the framed wire protocol in
-:mod:`repro.serve.gateway.wire`.  The edge adds the concerns the in-process
-path never needed:
+``predict``/``submit_many`` surface — over TCP using the framed wire
+protocol in :mod:`repro.serve.gateway.wire`.  The edge adds the concerns the
+in-process path never needed:
 
 * **tenant handshake** — the first frame on every connection is a ``HELLO``
   carrying the tenant tag and an optional default SLA deadline; both flow
@@ -20,16 +20,20 @@ path never needed:
 * **pipelined multiplexing** — every request is served as its own asyncio
   task and responses are written in *completion* order, matched to requests
   by id, so one slow model never convoys a connection's fast requests;
+* **batches as batches** — a ``BATCH`` frame is one task, one window slot
+  and one backend hop (``submit_many``), answered by one ``BATCH_REPLY``
+  carrying every row's output or typed error;
 * **graceful drain** — ``stop()`` closes the listener, rejects new requests
   with :class:`~repro.serve.server.ServerStopped`, waits for every in-flight
   request to complete and be written, then sends ``GOODBYE`` and closes.
   Zero accepted requests are lost (the e2e suite pins this under a
   concurrent hammer).
 
-Dispatch prefers the backend's concurrent ``submit`` path (awaiting the
-returned future without blocking the loop) whenever the backend reports
-``running``; otherwise the synchronous ``predict`` runs on the loop's default
-thread-pool executor, keeping the event loop responsive either way.
+Dispatch prefers the backend's concurrent ``submit_many`` path (awaiting
+the returned futures without blocking the loop) whenever the backend reports
+``running``; otherwise the synchronous ``predict`` runs row by row on the
+loop's default thread-pool executor, keeping the event loop responsive
+either way.
 
 Trust boundary: the gateway is a *server-side* component.  It sees only
 augmented samples (clients augment through their
@@ -45,8 +49,9 @@ import asyncio
 import inspect
 import threading
 import time
+from concurrent.futures import Future
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +62,8 @@ from ..server import ServerStopped
 from .errors import Backpressure, ProtocolError
 from .wire import (
     Ack,
+    BatchReply,
+    BatchRequest,
     ErrorFrame,
     Event,
     Goodbye,
@@ -82,6 +89,38 @@ def _keyword_names(callable_obj) -> Set[str]:
         return set(inspect.signature(callable_obj).parameters)
     except (TypeError, ValueError):  # builtins / C callables: assume minimal
         return set()
+
+
+async def _settled(futures: List[Future]) -> List[object]:
+    """Await thread-side futures with one loop wake-up; outcomes in order.
+
+    Each outcome is the future's result or its exception.  The last future
+    to finish wakes the loop once, instead of one wake-up per future.
+    """
+    loop = asyncio.get_running_loop()
+    waiter = loop.create_future()
+    lock = threading.Lock()
+    unsettled = [len(futures)]
+
+    def _wake() -> None:
+        if not waiter.done():
+            waiter.set_result(None)
+
+    def _done(_: Future) -> None:
+        with lock:
+            unsettled[0] -= 1
+            last = unsettled[0] == 0
+        if last:
+            loop.call_soon_threadsafe(_wake)
+
+    for future in futures:
+        future.add_done_callback(_done)
+    if futures:
+        await waiter
+    return [
+        future.exception() if future.exception() is not None else future.result()
+        for future in futures
+    ]
 
 
 class _Connection:
@@ -257,9 +296,9 @@ class GatewayServer:
             "events_sent": 0,
             "events_dropped": 0,
         }
-        submit = getattr(backend, "submit", None)
-        self._can_submit = callable(submit)
-        self._submit_params = _keyword_names(submit) if self._can_submit else set()
+        submit_many = getattr(backend, "submit_many", None)
+        self._can_submit = callable(submit_many)
+        self._submit_params = _keyword_names(submit_many) if self._can_submit else set()
         self._predict_params = _keyword_names(getattr(backend, "predict", None))
         # Registration surface: a ClusterRouter registers directly; a plain
         # InferenceServer exposes it through its registry.
@@ -425,7 +464,7 @@ class GatewayServer:
                 frame = await read_frame(reader)
                 if frame is None or isinstance(frame, Goodbye):
                     return
-                if isinstance(frame, (Request, Register, Observe)):
+                if isinstance(frame, (Request, BatchRequest, Register, Observe)):
                     self._admit(connection, frame)
                 elif isinstance(frame, Subscribe):
                     # Subscriptions are connection metadata, not serving work:
@@ -483,7 +522,7 @@ class GatewayServer:
             )
             return
         connection.inflight += 1
-        self._counters["requests"] += 1
+        self._counters["requests"] += len(frame.samples) if isinstance(frame, BatchRequest) else 1
         if isinstance(frame, Register):
             coroutine = self._serve_register(connection, frame)
         elif isinstance(frame, Observe):
@@ -566,91 +605,131 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Dispatch (loop thread -> backend)
     # ------------------------------------------------------------------
-    async def _serve_request(self, connection: _Connection, request: Request) -> None:
-        span: Optional[ActiveSpan] = None
+    async def _serve_request(
+        self, connection: _Connection, request: Union[Request, BatchRequest]
+    ) -> None:
+        """Serve one REQUEST or BATCH frame: one backend hop, one reply frame.
+
+        Spans, the latency histogram and the outcome counters are per row, so
+        a batch reads like its rows sent one by one.
+        """
+        batch = isinstance(request, BatchRequest)
+        samples = list(request.samples) if batch else [request.sample]
+        spans: Optional[List[ActiveSpan]] = None
         if self.tracer is not None:
-            # Continue the client's trace when the REQUEST frame carried a
-            # context (the optional wire suffix); root a fresh one otherwise,
-            # so server-side sampling still applies to untraced clients.
-            span = self.tracer.start_span(
-                "gateway.request",
-                parent=request.trace,
-                attributes={
-                    "model_id": request.model_id,
-                    "tenant": connection.tenant,
-                    "peer": connection.peer,
-                },
-            )
+            # Continue the client's trace when the frame carried a context
+            # (the optional wire suffix); root a fresh one otherwise, so
+            # server-side sampling still applies to untraced clients.
+            spans = [
+                self.tracer.start_span(
+                    "gateway.request",
+                    parent=request.trace,
+                    attributes={
+                        "model_id": request.model_id,
+                        "tenant": connection.tenant,
+                        "peer": connection.peer,
+                    },
+                )
+                for _ in samples
+            ]
         began = time.perf_counter()
-        self._requests_counter.inc()
+        self._requests_counter.inc(len(samples))
         try:
-            output = await self._dispatch(connection, request, span)
+            outcomes = await self._dispatch(connection, request, samples, spans)
+            # A backend that returns something the wire refuses (None, an
+            # object array, rows of different shapes) must still answer:
+            # the typed failure goes back instead of a hung request.
+            try:
+                if batch:
+                    reply = BatchReply.from_outcomes(request.request_id, outcomes)
+                elif isinstance(outcomes[0], BaseException):
+                    reply = ErrorFrame(request.request_id, outcomes[0])
+                else:
+                    reply = Response(request.request_id, np.asarray(outcomes[0]))
+                data = encode_frame(reply)
+            except ValueError as unstackable:
+                raise ProtocolError(f"unencodable reply: {unstackable}") from None
         except asyncio.CancelledError:  # pragma: no cover - only on hard kill
             raise
         except BaseException as error:  # noqa: BLE001 - becomes a typed frame
-            self._latency_hist.observe((time.perf_counter() - began) * 1e3)
-            self._errors_counter.inc()
-            if span is not None:
-                span.end(error=error)
-            self._counters["errors"] += 1
-            await connection.send(ErrorFrame(request.request_id, error))
-        else:
-            self._latency_hist.observe((time.perf_counter() - began) * 1e3)
-            try:
-                reply = Response(request.request_id, np.asarray(output))
-                frame_bytes = encode_frame(reply)
-            except ProtocolError as unencodable:
-                # A backend that returns something the wire refuses (None, an
-                # object array) must still answer: send the typed failure
-                # instead of dying with the request hung client-side.
-                if span is not None:
-                    span.end(error=unencodable)
-                self._errors_counter.inc()
-                self._counters["errors"] += 1
-                await connection.send(ErrorFrame(request.request_id, unencodable))
-                return
-            if span is not None:
-                span.end()
-            self._responses_counter.inc()
-            self._counters["responses"] += 1
-            await connection.send_bytes(frame_bytes)
+            outcomes = [error] * len(samples)
+            data = encode_frame(ErrorFrame(request.request_id, error))
+        elapsed_ms = (time.perf_counter() - began) * 1e3
+        failed = 0
+        for index, outcome in enumerate(outcomes):
+            self._latency_hist.observe(elapsed_ms)
+            error = outcome if isinstance(outcome, BaseException) else None
+            failed += error is not None
+            if spans is not None:
+                spans[index].end(error=error)
+        if failed:
+            self._errors_counter.inc(failed)
+            self._counters["errors"] += failed
+        if failed < len(samples):
+            self._responses_counter.inc(len(samples) - failed)
+            self._counters["responses"] += len(samples) - failed
+        await connection.send_bytes(data)
+
+    @staticmethod
+    def _terms(
+        params: Set[str],
+        connection: _Connection,
+        deadline: Optional[float],
+        priority: Optional[int],
+    ) -> Dict[str, object]:
+        """The SLA keyword arguments a backend method accepts."""
+        kwargs: Dict[str, object] = {}
+        if "tenant" in params:
+            kwargs["tenant"] = connection.tenant
+        if deadline is not None and "deadline" in params:
+            kwargs["deadline"] = deadline
+        if priority is not None and "priority" in params:
+            kwargs["priority"] = priority
+        return kwargs
 
     async def _dispatch(
         self,
         connection: _Connection,
-        request: Request,
-        span: Optional[ActiveSpan] = None,
-    ):
+        request: Union[Request, BatchRequest],
+        samples: List[np.ndarray],
+        spans: Optional[List[ActiveSpan]],
+    ) -> List[object]:
+        """Run a frame's rows on the backend; each row's output or error."""
         deadline = request.deadline if request.deadline is not None else connection.deadline
+        loop = asyncio.get_running_loop()
         if self._can_submit and getattr(self.backend, "running", False):
-            kwargs = {}
-            if "tenant" in self._submit_params:
-                kwargs["tenant"] = connection.tenant
-            if deadline is not None and "deadline" in self._submit_params:
-                kwargs["deadline"] = deadline
-            if request.priority is not None and "priority" in self._submit_params:
-                kwargs["priority"] = request.priority
-            if span is not None and "trace" in self._submit_params:
-                kwargs["trace"] = span.context
-            # submit() itself runs the backend's middleware chain and takes
-            # its locks inline, so it goes through the executor too — only
-            # the await of the returned future lives on the loop.
-            call = partial(self.backend.submit, request.model_id, request.sample, **kwargs)
+            params = self._submit_params
+            kwargs = self._terms(params, connection, deadline, request.priority)
+            if spans is not None and "traces" in params:
+                kwargs["traces"] = [span.context for span in spans]
+            # submit_many() itself runs the backend's middleware chain and
+            # takes its locks inline, so it goes through the executor too —
+            # only the await of the returned futures lives on the loop.
+            call = partial(self.backend.submit_many, request.model_id, samples, **kwargs)
             if self.profiler is not None:
                 call = partial(self.profiler.call_tagged, "gateway.submit", call)
-            future = await asyncio.get_running_loop().run_in_executor(None, call)
-            return await asyncio.wrap_future(future)
-        kwargs = {}
-        if "tenant" in self._predict_params:
-            kwargs["tenant"] = connection.tenant
-        if deadline is not None and "deadline" in self._predict_params:
-            kwargs["deadline"] = deadline
-        if span is not None and "trace" in self._predict_params:
-            kwargs["trace"] = span.context
-        call = partial(self.backend.predict, request.model_id, request.sample, **kwargs)
+            return await _settled(await loop.run_in_executor(None, call))
+        # A backend without a running concurrent path serves the rows one by
+        # one, still in one executor hop, each row failing on its own.
+        kwargs = self._terms(self._predict_params, connection, deadline, None)
+        traced = spans is not None and "trace" in self._predict_params
+
+        def predict_rows() -> List[object]:
+            outcomes: List[object] = []
+            for index, sample in enumerate(samples):
+                trace = {"trace": spans[index].context} if traced else {}
+                try:
+                    outcomes.append(
+                        self.backend.predict(request.model_id, sample, **kwargs, **trace)
+                    )
+                except Exception as error:  # noqa: BLE001 - a per-row outcome
+                    outcomes.append(error)
+            return outcomes
+
+        call = predict_rows
         if self.profiler is not None:
             call = partial(self.profiler.call_tagged, "gateway.predict", call)
-        return await asyncio.get_running_loop().run_in_executor(None, call)
+        return await loop.run_in_executor(None, call)
 
     async def _serve_observe(self, connection: _Connection, frame: Observe) -> None:
         """Serve one OBSERVE pull: cluster-wide metrics snapshot + span tail.

@@ -46,13 +46,26 @@ Frame types:
  0x0C   EVENT         str topic, str name, str payload JSON, !Q sequence,
                       !d timestamp (server→client push; never solicited
                       from peers that did not SUBSCRIBE)
+ 0x0D   BATCH         !Q request id, str model id, opt-float deadline,
+                      !B has-priority, !q priority, ndarray samples stacked
+                      on a leading row axis (at least one row), [optional
+                      trace suffix, as on REQUEST]
+ 0x0E   BATCH_REPLY   !Q request id, !I rows, ndarray outputs of the rows
+                      that succeeded (stacked, in row order), !I error
+                      count, per error: !I row index (strictly increasing)
+                      + error; outputs + errors must account for every row
 ====== ============= =========================================================
 
 Frames are versioned (`WIRE_VERSION`): a version byte the decoder does not
 speak raises a typed :class:`ProtocolError` instead of misparsing bytes.
 
-The REQUEST trace suffix is the one deliberately *optional* field: it is
-encoded only when the request carries a
+A BATCH carries many rows under one header and travels the serving stack
+as one unit (one gateway task, one admission entry, one replica dispatch);
+its BATCH_REPLY answers every row exactly once, as an output or a typed
+error.
+
+The REQUEST (and BATCH) trace suffix is the one deliberately *optional*
+field: it is encoded only when the request carries a
 :class:`~repro.serve.observability.TraceContext`, and the decoder parses it
 only when bytes remain after the sample array.  Old peers therefore
 interoperate in both directions without a version bump — an old decoder
@@ -102,6 +115,8 @@ FRAME_OBSERVE = 0x09
 FRAME_OBSERVE_REPLY = 0x0A
 FRAME_SUBSCRIBE = 0x0B
 FRAME_EVENT = 0x0C
+FRAME_BATCH = 0x0D
+FRAME_BATCH_REPLY = 0x0E
 
 #: First byte of the optional REQUEST trace suffix.  The suffix is the only
 #: place the protocol appends data after a frame's fixed body, so it carries a
@@ -248,6 +263,57 @@ class Event:
     timestamp: float = 0.0
 
 
+@dataclass
+class BatchRequest:
+    """Many same-model rows under one header: ``samples`` stacks them on
+    axis 0.  Deadline, priority and trace apply to every row."""
+
+    request_id: int
+    model_id: str
+    samples: np.ndarray
+    deadline: Optional[float] = None
+    priority: Optional[int] = None
+    trace: Optional[TraceContext] = None
+
+
+@dataclass
+class BatchReply:
+    """Every row of a :class:`BatchRequest`, answered exactly once.
+
+    ``outputs`` stacks the outputs of the rows that succeeded, in row order;
+    ``errors`` maps each failed row's index to its typed error.
+    """
+
+    request_id: int
+    rows: int
+    outputs: np.ndarray
+    errors: Dict[int, BaseException] = field(default_factory=dict)
+
+    @classmethod
+    def from_outcomes(cls, request_id: int, outcomes: List[object]) -> "BatchReply":
+        """Build a reply from per-row outcomes (an output or an exception)."""
+        errors = {
+            index: outcome
+            for index, outcome in enumerate(outcomes)
+            if isinstance(outcome, BaseException)
+        }
+        outputs = [np.asarray(o) for o in outcomes if not isinstance(o, BaseException)]
+        return cls(
+            request_id=request_id,
+            rows=len(outcomes),
+            outputs=np.stack(outputs) if outputs else np.zeros((0,), dtype=np.float32),
+            errors=errors,
+        )
+
+    def outcomes(self) -> List[object]:
+        """Per-row outcomes in row order: an output array or the row's error."""
+        outputs = iter(self.outputs)
+        return [
+            self.errors[index] if index in self.errors else next(outputs)
+            for index in range(self.rows)
+        ]
+
+
 Frame = Union[
     Hello,
     HelloAck,
@@ -261,6 +327,8 @@ Frame = Union[
     ObserveReply,
     Subscribe,
     Event,
+    BatchRequest,
+    BatchReply,
 ]
 
 
@@ -506,15 +574,20 @@ def _encode_frame(frame: Frame) -> bytes:
     elif isinstance(frame, HelloAck):
         frame_type = FRAME_HELLO_ACK
         parts = [struct.pack("!I", frame.window), _pack_str(frame.server_id)]
-    elif isinstance(frame, Request):
-        frame_type = FRAME_REQUEST
+    elif isinstance(frame, (Request, BatchRequest)):
+        if isinstance(frame, Request):
+            frame_type, payload = FRAME_REQUEST, frame.sample
+        else:
+            frame_type, payload = FRAME_BATCH, frame.samples
+            if np.ndim(payload) < 1 or len(payload) == 0:
+                raise ProtocolError("a BATCH frame must carry at least one row")
         priority = frame.priority
         parts = [
             struct.pack("!Q", frame.request_id),
             _pack_str(frame.model_id),
             _pack_opt_float(frame.deadline),
             struct.pack("!Bq", priority is not None, 0 if priority is None else priority),
-            _pack_array(frame.sample),
+            _pack_array(payload),
         ]
         if frame.trace is not None:
             # Optional suffix — only traced requests pay for it, and absent
@@ -529,6 +602,17 @@ def _encode_frame(frame: Frame) -> bytes:
                     struct.pack("!B", bool(frame.trace.sampled)),
                 )
             )
+    elif isinstance(frame, BatchReply):
+        frame_type = FRAME_BATCH_REPLY
+        _check_batch_rows(frame.rows, frame.outputs, sorted(frame.errors))
+        parts = [
+            struct.pack("!QI", frame.request_id, frame.rows),
+            _pack_array(frame.outputs),
+            struct.pack("!I", len(frame.errors)),
+        ]
+        for index in sorted(frame.errors):
+            parts.append(struct.pack("!I", index))
+            parts.append(encode_error(frame.errors[index]))
     elif isinstance(frame, Response):
         frame_type = FRAME_RESPONSE
         parts = [struct.pack("!Q", frame.request_id), _pack_array(frame.output)]
@@ -602,6 +686,21 @@ def decode_payload(payload: bytes) -> Frame:
         raise ProtocolError(f"malformed frame payload: {error!r}") from None
 
 
+def _check_batch_rows(rows: int, outputs: np.ndarray, error_rows: List[int]) -> None:
+    """A batch reply must answer each of its (one or more) rows exactly once."""
+    if rows < 1:
+        raise ProtocolError("a BATCH_REPLY must answer at least one row")
+    if np.ndim(outputs) < 1:
+        raise ProtocolError("BATCH_REPLY outputs must be stacked on a row axis")
+    if len(outputs) + len(error_rows) != rows:
+        raise ProtocolError(
+            f"BATCH_REPLY row count mismatch: {len(outputs)} outputs + "
+            f"{len(error_rows)} errors != {rows} rows"
+        )
+    if error_rows and (error_rows[0] < 0 or error_rows[-1] >= rows):
+        raise ProtocolError(f"BATCH_REPLY error row out of range for {rows} rows")
+
+
 def _decode_trace_suffix(cursor: _Cursor) -> Optional[TraceContext]:
     """Parse the optional trace suffix; reset the cursor on anything else.
 
@@ -651,25 +750,43 @@ def _decode_body(cursor: _Cursor) -> Frame:
         )
     if frame_type == FRAME_HELLO_ACK:
         return HelloAck(window=cursor.unpack("!I")[0], server_id=cursor.str_())
-    if frame_type == FRAME_REQUEST:
+    if frame_type in (FRAME_REQUEST, FRAME_BATCH):
         (request_id,) = cursor.unpack("!Q")
         model_id = cursor.str_()
         deadline = cursor.opt_float()
         has_priority, priority = cursor.unpack("!Bq")
-        sample = cursor.array()
+        payload = cursor.array()
         trace = None
         if cursor.offset < len(cursor.data):
             # Bytes past the sample are the optional trace suffix; a peer
             # without tracing never sends them, so absence means trace=None.
             trace = _decode_trace_suffix(cursor)
-        return Request(
+        terms = dict(
             request_id=request_id,
             model_id=model_id,
-            sample=sample,
             deadline=deadline,
             priority=priority if has_priority else None,
             trace=trace,
         )
+        if frame_type == FRAME_REQUEST:
+            return Request(sample=payload, **terms)
+        if payload.ndim < 1 or len(payload) == 0:
+            raise ProtocolError("a BATCH frame must carry at least one row")
+        return BatchRequest(samples=payload, **terms)
+    if frame_type == FRAME_BATCH_REPLY:
+        request_id, rows = cursor.unpack("!QI")
+        outputs = cursor.array()
+        (count,) = cursor.unpack("!I")
+        errors: Dict[int, BaseException] = {}
+        last = -1
+        for _ in range(count):
+            (index,) = cursor.unpack("!I")
+            if index <= last:
+                raise ProtocolError("BATCH_REPLY error rows must be strictly increasing")
+            errors[index] = decode_error(cursor)
+            last = index
+        _check_batch_rows(rows, outputs, list(errors))
+        return BatchReply(request_id=request_id, rows=rows, outputs=outputs, errors=errors)
     if frame_type == FRAME_RESPONSE:
         (request_id,) = cursor.unpack("!Q")
         return Response(request_id=request_id, output=cursor.array())
@@ -741,6 +858,8 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "WIRE_VERSION",
     "Ack",
+    "BatchReply",
+    "BatchRequest",
     "ErrorFrame",
     "Event",
     "Frame",

@@ -3,12 +3,23 @@
 Synchronous mode (``predict`` / ``predict_batch``) serves the caller's thread
 directly and is what the benchmarks use to measure the raw batching win.
 
-Concurrent mode (``start`` / ``submit`` / ``stop``) is the middleware story:
-many clients enqueue single-sample requests, worker threads drain the shared
-queue, coalesce whatever arrived within ``batcher.max_wait`` (up to
-``batcher.max_batch_size``), group it by model and execute each group as one
-padded batch.  Every request resolves a :class:`concurrent.futures.Future`,
-so clients block only on their own result.
+Concurrent mode (``start`` / ``submit`` / ``submit_many`` / ``stop``) is the
+middleware story: clients enqueue submissions (one row from ``submit``, a
+whole batch as *one* queue item from ``submit_many``), worker threads take
+them off the shared queue, group them by model and execute each group as
+padded batches.  Every row resolves its own
+:class:`concurrent.futures.Future`, so clients block only on their own
+result.
+
+A worker closes a batch on evidence, not on a clock.  After taking its first
+item it drains whatever is already queued, without blocking, up to
+``batcher.max_batch_size`` rows.  It then waits for more only while the
+observed arrival rate — a moving average of the gaps between enqueues —
+predicts another submission before ``first pickup + batcher.max_wait``, and
+each wait lasts at most twice that expected gap, so a stream that stops
+closes the batch early.  ``max_wait`` is therefore an upper bound on the
+wait, not a fixed one: a lone request runs at once, and ``max_wait=0``
+never waits.
 
 Both modes funnel every request through one pipeline:
 :meth:`_serve_contexts` builds a :class:`RequestContext` per request and
@@ -26,12 +37,12 @@ latency, middleware stage timings) are tracked in
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,17 +74,24 @@ class ServerOverloaded(RuntimeError):
 
 @dataclass
 class _Request:
-    """One enqueued single-sample prediction."""
+    """One queue item: the rows of one ``submit``/``submit_many`` call.
+
+    Each row has its own future (and, when traced, its own parent context),
+    so a batch travels the queue as one item yet resolves row by row.
+    """
 
     model_id: str
-    sample: np.ndarray
-    future: Future
+    samples: List[np.ndarray]
+    futures: List[Future]
     tenant: str = "default"
-    trace: Optional[TraceContext] = None
+    traces: Optional[Sequence[Optional[TraceContext]]] = None
     submitted_at: float = field(default_factory=time.perf_counter)
 
 
 _SHUTDOWN = object()
+
+#: Weight of the newest gap in the moving average of inter-arrival gaps.
+_GAP_WEIGHT = 0.2
 
 
 class InferenceServer:
@@ -97,7 +115,17 @@ class InferenceServer:
         self.num_workers = num_workers
         self.middleware = MiddlewareChain.coerce(middleware)
         self.tracer = tracer
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
+        #: Queued items; ``_queued_rows`` counts their rows, which is what
+        #: ``queue_size`` bounds.  ``_gap`` is the moving average of the gaps
+        #: between enqueues (``None`` until two have been seen) and
+        #: ``_last_arrival`` the newest enqueue; all four live under
+        #: ``_ready``, the lock every enqueue already takes.
+        self._queue: Deque[object] = deque()
+        self._queue_size = queue_size
+        self._queued_rows = 0
+        self._gap: Optional[float] = None
+        self._last_arrival: Optional[float] = None
+        self._ready = threading.Condition(threading.Lock())
         self._workers: List[threading.Thread] = []
         self._running = False
         self._stopped = False
@@ -150,14 +178,15 @@ class InferenceServer:
         # long queue, and single-attribute reads are atomic under the GIL.
         return {
             "models": {mid: self._model_stats(mid).snapshot() for mid in ids},
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._queued_rows,
             "running": self._running,
             "stopped": self._stopped,
         }
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize()
+        """Rows queued and not yet picked up by a worker."""
+        return self._queued_rows
 
     # ------------------------------------------------------------------
     # Synchronous API
@@ -247,19 +276,16 @@ class InferenceServer:
                 return
             self._running = False
             self._stopped = True
-            for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
+            with self._ready:
+                self._queue.extend(_SHUTDOWN for _ in self._workers)
+                self._ready.notify_all()
             for worker in self._workers:
                 worker.join()
             self._workers = []
-            leftovers: List[_Request] = []
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _SHUTDOWN:
-                    leftovers.append(item)
+            with self._ready:
+                leftovers = [item for item in self._queue if item is not _SHUTDOWN]
+                self._queue.clear()
+                self._queued_rows = 0
             if leftovers:
                 self._execute_groups(leftovers)
 
@@ -294,15 +320,34 @@ class InferenceServer:
         tenant: str = "default",
         trace: Optional[TraceContext] = None,
     ) -> Future:
-        """Enqueue one sample; the returned future resolves to its output array.
+        """Enqueue one sample; the returned future resolves to its output array."""
+        traces = None if trace is None else [trace]
+        return self.submit_many(model_id, [sample], tenant=tenant, traces=traces)[0]
+
+    def submit_many(
+        self,
+        model_id: str,
+        samples: Sequence[np.ndarray],
+        tenant: str = "default",
+        traces: Optional[Sequence[Optional[TraceContext]]] = None,
+    ) -> List[Future]:
+        """Enqueue ``samples`` as one queue item; one future per row, in order.
+
+        All or nothing: when the rows do not fit in the queue the call raises
+        :class:`ServerOverloaded` and no row is enqueued, so the caller never
+        loses a row it holds no future for.  ``traces`` gives each row its
+        parent trace context.
 
         The running check and the enqueue happen under the lifecycle lock so a
         request can never slip into the queue after ``stop()`` has drained it
         (which would leave its future unresolved forever).  The enqueue itself
         is non-blocking: a full queue raises rather than deadlocking ``stop()``
-        against a blocked ``put`` holding the lifecycle lock.
+        against a blocked enqueue holding the lifecycle lock.
         """
-        request = _Request(model_id, np.asarray(sample), Future(), tenant=tenant, trace=trace)
+        rows = [np.asarray(sample) for sample in samples]
+        if not rows:
+            return []
+        request = _Request(model_id, rows, [Future() for _ in rows], tenant=tenant, traces=traces)
         with self._lifecycle_lock:
             if not self._running:
                 if self._stopped:
@@ -310,46 +355,75 @@ class InferenceServer:
                         "server has been stopped; call start() again before submit()"
                     )
                 raise RuntimeError("server is not started; call start() or use predict()")
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                raise ServerOverloaded(
-                    f"request queue is full ({self._queue.maxsize} pending); "
-                    "add workers or apply back-pressure upstream"
-                ) from None
-        return request.future
+            with self._ready:
+                if 0 < self._queue_size < self._queued_rows + len(rows):
+                    raise ServerOverloaded(
+                        f"request queue is full ({self._queued_rows} of "
+                        f"{self._queue_size} rows pending, {len(rows)} offered); "
+                        "add workers or apply back-pressure upstream"
+                    )
+                self._queue.append(request)
+                self._queued_rows += len(rows)
+                self._stamp_arrival(time.perf_counter())
+                self._ready.notify()
+        return request.futures
 
-    def submit_many(
-        self, model_id: str, samples: Sequence[np.ndarray], tenant: str = "default"
-    ) -> List[Future]:
-        return [self.submit(model_id, sample, tenant=tenant) for sample in samples]
+    def _stamp_arrival(self, now: float) -> None:
+        """Fold one enqueue (``now``, read under ``_ready``) into the moving
+        average of inter-arrival gaps.
+
+        Gaps are capped at twice ``max_wait``: any longer gap already says
+        "nothing arrives within the wait", and the cap lets the average fall
+        back within a few submissions when a burst follows an idle spell.
+        """
+        if self._last_arrival is not None:
+            gap = min(now - self._last_arrival, 2 * self.batcher.max_wait)
+            if self._gap is None:
+                self._gap = gap
+            else:
+                self._gap += _GAP_WEIGHT * (gap - self._gap)
+        self._last_arrival = now
 
     # ------------------------------------------------------------------
     # Worker internals
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            requests = [item]
-            deadline = time.perf_counter() + self.batcher.max_wait
-            saw_shutdown = False
-            while len(requests) < self.batcher.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _SHUTDOWN:
-                    saw_shutdown = True
-                    break
-                requests.append(item)
-            self._execute_groups(requests)
+            requests, saw_shutdown = self._next_batch()
+            if requests:
+                self._execute_groups(requests)
             if saw_shutdown:
                 return
+
+    def _next_batch(self) -> Tuple[List[_Request], bool]:
+        """Block for one item, then coalesce on evidence (see the module doc).
+
+        Returns the items taken and whether a shutdown sentinel was seen.
+        """
+        max_rows = self.batcher.max_batch_size
+        with self._ready:
+            while not self._queue:
+                self._ready.wait()
+            requests: List[_Request] = []
+            rows = 0
+            deadline = time.perf_counter() + self.batcher.max_wait
+            while True:
+                while self._queue and rows < max_rows:
+                    item = self._queue.popleft()
+                    if item is _SHUTDOWN:
+                        return requests, True
+                    requests.append(item)
+                    rows += len(item.samples)
+                    self._queued_rows -= len(item.samples)
+                if rows >= max_rows:
+                    return requests, False
+                remaining = deadline - time.perf_counter()
+                gap = self._gap
+                if gap is None or gap > remaining:
+                    return requests, False
+                self._ready.wait(min(remaining, 2 * gap))
+                if not self._queue:
+                    return requests, False
 
     def _execute_groups(self, requests: List[_Request]) -> None:
         groups: Dict[str, List[_Request]] = {}
@@ -359,25 +433,33 @@ class InferenceServer:
             self._execute(model_id, group)
 
     def _execute(self, model_id: str, group: List[_Request]) -> None:
-        """Serve one coalesced same-model group, resolving each future."""
-        contexts = [
-            RequestContext(
-                model_id=model_id,
-                sample=request.sample,
-                tenant=request.tenant,
-                source="concurrent",
-                created_at=request.submitted_at,
+        """Serve one coalesced same-model group in batches of at most
+        ``max_batch_size`` rows, resolving each row's future as its batch ends."""
+        contexts: List[RequestContext] = []
+        futures: List[Future] = []
+        parents: List[Optional[TraceContext]] = []
+        for request in group:
+            contexts.extend(
+                RequestContext(
+                    model_id=model_id,
+                    sample=sample,
+                    tenant=request.tenant,
+                    source="concurrent",
+                    created_at=request.submitted_at,
+                )
+                for sample in request.samples
             )
-            for request in group
-        ]
-        self._serve_contexts(
-            model_id, contexts, parents=[request.trace for request in group]
-        )
-        for request, context in zip(group, contexts):
-            if context.error is not None:
-                request.future.set_exception(context.error)
-            else:
-                request.future.set_result(context.response)
+            futures.extend(request.futures)
+            parents.extend(request.traces or [None] * len(request.samples))
+        size = self.batcher.max_batch_size
+        for start in range(0, len(contexts), size):
+            chunk = contexts[start : start + size]
+            self._serve_contexts(model_id, chunk, parents=parents[start : start + size])
+            for future, context in zip(futures[start : start + size], chunk):
+                if context.error is not None:
+                    future.set_exception(context.error)
+                else:
+                    future.set_result(context.response)
 
     # ------------------------------------------------------------------
     # The one pipeline both modes share

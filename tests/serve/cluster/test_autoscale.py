@@ -88,9 +88,9 @@ class WarmGuardReplica(ReplicaWorker):
         self._assert_warm(model_id)
         return super().predict_batch(model_id, samples, tenant=tenant)
 
-    def submit(self, model_id, sample, tenant="default"):
+    def submit_many(self, model_id, samples, tenant="default"):
         self._assert_warm(model_id)
-        return super().submit(model_id, sample, tenant=tenant)
+        return super().submit_many(model_id, samples, tenant=tenant)
 
 
 def make_replica(replica_id: str, cls=ReplicaWorker, **batcher_kwargs) -> ReplicaWorker:

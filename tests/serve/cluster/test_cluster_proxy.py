@@ -93,15 +93,29 @@ class TestProxyRoundTrips:
         data, job, router, _ = served_cluster_job
         proxy = ExtractionProxy(job.secrets)
         samples = list(data.train.samples[:8])
+        # A second wave travels as one batch: one admission entry, one
+        # replica dispatch per attempt, one future per row.
+        augmented = list(ExtractionProxy(job.secrets).augment_batch(data.train.samples[8:16]))
         served_before = router.stats(model_id="lenet-aug")["requests"]
+        counters_before = router.stats()["router"]
         with router:
             futures = [proxy.submit(router, "lenet-aug", sample) for sample in samples]
+            batch = router.submit_many("lenet-aug", augmented)
             router.replica(router.shard_map()["lenet-aug"][0]).kill()
             results = [future.result(timeout=30) for future in futures]
+            batch_results = [future.result(timeout=30) for future in batch]
         for result in results:
             assert result.shape == (10,)
+        expected = self._reference(data, job).predict_batch("lenet-aug", augmented)
+        for result, reference in zip(batch_results, expected):
+            assert result.tobytes() == reference.tobytes()
         stats = router.stats()
         assert stats["router"]["failed"] == 0
+        # Every row resolved exactly once: the router's ledger grew by the rows.
+        resolved = sum(
+            stats["router"][key] - counters_before[key] for key in ("completed", "failed", "shed")
+        )
+        assert resolved == len(samples) + len(augmented)
         # Failover is at-least-once for *compute* (the victim may finish a
         # batch whose futures were already failed over) but exactly-once for
         # results, so the merged count is >= the submitted count.

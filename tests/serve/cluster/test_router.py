@@ -22,10 +22,12 @@ from repro.serve import (
     ModelRegistry,
     ModelStats,
     NoHealthyReplica,
+    PrivacyBudget,
     RateLimiter,
     RateLimitExceeded,
     ReplicaWorker,
     ServeMiddleware,
+    ServerOverloaded,
     ServerStopped,
     Telemetry,
 )
@@ -221,6 +223,68 @@ class TestConcurrentServing:
         finally:
             gate.set()  # release the killed replica's stalled worker
 
+    def test_batch_that_fits_no_replica_queue_runs_no_row(self, images):
+        replicas = [
+            ReplicaWorker(
+                replica_id,
+                batcher=Batcher(max_batch_size=8, max_wait=0.005, padding="full"),
+                num_workers=1,
+                queue_size=len(images) - 1,
+            )
+            for replica_id in ("r0", "r1")
+        ]
+        router = ClusterRouter(
+            replicas, placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES)
+        )
+        register_lenet(router)
+        with router:
+            futures = router.submit_many("lenet", list(images))
+            for future in futures:
+                with pytest.raises(FailoverExhausted):
+                    future.result(timeout=30)
+        stats = router.stats()
+        for replica in stats["replicas"].values():
+            served = replica["server"]["models"].get("lenet", {"requests": 0, "errors": 0})
+            assert served["requests"] + served["errors"] == 0
+        assert stats["router"]["failed"] == len(images)
+        assert stats["router"]["completed"] + stats["router"]["shed"] == 0
+
+    def test_failover_retries_only_the_unresolved_rows(self, images, reference_outputs):
+        """The primary refuses half of one batch with a retryable error: only
+        those rows move to the next owner, and every row resolves once."""
+        ring = ConsistentHashRing(["r0", "r1"], vnodes=VNODES)
+        primary = ring.preference_list("lenet", count=1)[0]
+        refused = {0, 2, 5, 7}
+        marks = {float(images[index].flat[0]) for index in refused}
+
+        class RefuseSome(ServeMiddleware):
+            def on_request(self, context) -> None:
+                if float(context.sample.flat[0]) in marks:
+                    raise ServerOverloaded("busy")
+
+        replicas = [
+            make_replica(rid, middleware=[RefuseSome()] if rid == primary else None)
+            for rid in ("r0", "r1")
+        ]
+        router = ClusterRouter(
+            replicas, placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES)
+        )
+        register_lenet(router)
+        with router:
+            futures = router.submit_many("lenet", list(images))
+            results = [future.result(timeout=30) for future in futures]
+        for result, expected in zip(results, reference_outputs):
+            np.testing.assert_array_equal(result, expected)
+        stats = router.stats()
+        served = {
+            rid: replica["server"]["models"]["lenet"]["requests"]
+            for rid, replica in stats["replicas"].items()
+        }
+        assert served[primary] == len(images) - len(refused)
+        assert sum(served.values()) == len(images)
+        assert stats["router"]["completed"] == len(images)
+        assert stats["router"]["failovers"] == len(refused)
+
     def test_submit_deadline_sheds_via_future(self, images):
         router = make_router()
         register_lenet(router)
@@ -362,6 +426,30 @@ class TestClusterMiddleware:
         stages = router.stats()["models"]["lenet"]["stages"]
         assert stages["request.total"]["count"] == 2
         assert stages["request.error"]["count"] == 1
+
+
+    def test_batch_charges_equal_one_by_one_charges(self, images):
+        """A batch enters the cluster chain once per row: the limiter's tokens
+        and the privacy budget's charges match the rows sent one by one."""
+
+        def run(send):
+            limiter = RateLimiter(rate=1.0, capacity=7, clock=lambda: 0.0)
+            budget = PrivacyBudget(budget=3.25, amount=1.0)  # six 0.5-epsilon queries
+            router = make_router(middleware=[limiter, budget])
+            register_lenet(router)
+            with router:
+                futures = send(router)
+                outcomes = [type(future.exception(timeout=30)).__name__ for future in futures]
+            counters = router.stats()["router"]
+            return outcomes, limiter.stats(), budget.stats(), counters
+
+        batch = run(lambda router: router.submit_many("lenet", list(images)))
+        singles = run(lambda router: [router.submit("lenet", image) for image in images])
+        assert batch[:3] == singles[:3]
+        assert batch[0].count("NoneType") == 6
+        assert batch[1]["rejected"] == 1 and batch[2]["rejected"] == 1
+        for counters in (batch[3], singles[3]):
+            assert counters["completed"] + counters["failed"] + counters["shed"] == len(images)
 
 
 class TestStatsMerging:

@@ -95,7 +95,9 @@ class TestResumeAfterDisconnect:
             with RemoteClient(
                 *gateway.address, resume=True, retry=fast_retry(), window=8
             ) as client:
-                futures = client.submit_many("m", samples)
+                # One REQUEST frame per sample, so several are in flight
+                # when the connection drops (submit_many would send one frame).
+                futures = [client.submit("m", sample) for sample in samples]
                 outputs = [future.result(timeout=30) for future in futures]
                 ledger = client.ledger()
         for sample, output in zip(samples, outputs):
@@ -103,6 +105,22 @@ class TestResumeAfterDisconnect:
         assert ledger["submitted"] == ledger["succeeded"] + ledger["failed"]
         assert ledger["failed"] == 0
         assert ledger["reconnects"] >= 1
+
+    def test_batch_frame_is_resubmitted_whole(self, samples):
+        # Frame 2 is the BATCH_REPLY: dropping it leaves the whole batch
+        # unanswered, so resume resubmits the one BATCH frame verbatim.
+        faults = FaultInjector(FaultPlan().drop_connection(after_frames=2, times=1))
+        with GatewayServer(EchoBackend(), faults=faults) as gateway:
+            with RemoteClient(*gateway.address, resume=True, retry=fast_retry()) as client:
+                futures = client.submit_many("m", samples)
+                outputs = [future.result(timeout=30) for future in futures]
+                ledger = client.ledger()
+        for sample, output in zip(samples, outputs):
+            np.testing.assert_array_equal(output, sample * 2.0)
+        assert ledger["submitted"] == ledger["succeeded"] == len(samples)
+        assert ledger["failed"] == ledger["pending"] == 0
+        assert ledger["reconnects"] == 1
+        assert ledger["resubmitted"] == 1
 
     def test_without_resume_disconnect_fails_typed(self, samples):
         backend = EchoBackend()

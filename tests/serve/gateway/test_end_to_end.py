@@ -29,6 +29,10 @@ from repro.serve import (
     ClusterRouter,
     ExtractionProxy,
     GatewayServer,
+    InferenceServer,
+    ModelRegistry,
+    RateLimiter,
+    RateLimitExceeded,
     RemoteClient,
     ReplicaWorker,
     ServeMiddleware,
@@ -72,20 +76,88 @@ class TestByteIdentityOverLoopback:
         # In-process reference: sync path on the same (not yet started) cluster.
         in_process_proxy = ExtractionProxy(job.secrets)
         expected = in_process_proxy.predict_batch(router, "lenet-aug", raw)
+        before = router.stats()["router"]
+
+        # The row ledger's reference: an in-process padding="full" server.
+        rows = ExtractionProxy(job.secrets).augment_batch(
+            np.concatenate([data.train.samples, data.validation.samples])[:32]
+        )
+        registry = ModelRegistry(capacity=2)
+        CloudSession.publish(job, registry, "lenet-aug")
+        reference = InferenceServer(
+            registry, Batcher(max_batch_size=8, padding="full")
+        ).predict_batch("lenet-aug", list(rows))
 
         # Remote path: a fresh proxy from the same secrets draws the identical
-        # augmentation-noise sequence; every call crosses the loopback socket
-        # and the cluster's admission/submit machinery.
+        # augmentation-noise sequence; the batch crosses the loopback socket
+        # as one BATCH frame and the cluster's admission/submit machinery as
+        # one unit.
         with router:
             with GatewayServer(router, server_id="e2e") as gateway:
                 with RemoteClient(*gateway.address, tenant="vip") as remote:
                     remote_proxy = ExtractionProxy(job.secrets)
                     actual = remote_proxy.predict_batch(remote, "lenet-aug", raw)
+                    outcomes = self.row_ledger_batches(router, remote, rows)
+                    ledger = remote.ledger()
+                gateway_stats = gateway.stats()
 
         assert len(actual) == len(expected)
         for remote_out, local_out in zip(actual, expected):
             assert remote_out.dtype == local_out.dtype
             assert remote_out.tobytes() == local_out.tobytes()  # byte-identical
+
+        # Every row resolved exactly once: 20 of each 32-row batch passed the
+        # cluster rate limiter and answer byte-identically (the second batch
+        # despite losing a replica mid-flight); the other 12 failed typed.
+        submitted = len(raw) + 2 * len(rows)
+        for batch in outcomes:
+            for index, outcome in enumerate(batch):
+                if index < 20:
+                    assert outcome.tobytes() == reference[index].tobytes()
+                else:
+                    assert isinstance(outcome, RateLimitExceeded)
+        assert ledger["submitted"] == submitted
+        assert ledger["succeeded"] == len(raw) + 40
+        assert ledger["failed"] == 24 and ledger["pending"] == 0
+        counters = {
+            key: value - before[key]
+            for key, value in router.stats()["router"].items()
+            if key in ("completed", "failed", "shed", "failovers")
+        }
+        assert counters["completed"] + counters["failed"] + counters["shed"] == submitted
+        assert counters["failed"] == 24 and counters["failovers"] >= 1
+        assert gateway_stats["requests"] == submitted
+        assert gateway_stats["responses"] + gateway_stats["errors"] == submitted
+
+    @staticmethod
+    def row_ledger_batches(router, remote, rows):
+        """Two 32-row batches over the wire against a cluster rate limiter
+        holding 20 tokens per batch; one replica dies under the second."""
+
+        def settle(futures):
+            return [future.exception(timeout=30) or future.result() for future in futures]
+
+        clock = [0.0]
+        router.swap_middleware([RateLimiter(rate=1.0, capacity=20, clock=lambda: clock[0])])
+        outcomes = [settle(remote.submit_many("lenet-aug", rows))]
+        clock[0] += 20.0  # the bucket refills for the second batch
+        gate, in_flight = threading.Event(), threading.Event()
+
+        class Gate(ServeMiddleware):
+            def on_batch(self, batch) -> None:
+                in_flight.set()
+                gate.wait(timeout=30)
+
+        router.swap_replica_middleware([Gate()])
+        try:
+            futures = remote.submit_many("lenet-aug", rows)
+            assert in_flight.wait(timeout=30), "the batch never reached a replica"
+            busy = [rid for rid in router.replica_ids() if router.replica(rid).in_flight]
+            router.replica(busy[0]).kill()
+        finally:
+            gate.set()
+        outcomes.append(settle(futures))
+        return outcomes
 
     def test_proxy_submit_path_over_the_wire(self, obfuscated_job):
         """ExtractionProxy.submit works unchanged against a RemoteClient."""

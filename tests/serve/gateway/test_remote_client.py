@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.serve import (
     GatewayServer,
     InferenceServer,
     ProtocolError,
+    RateLimitExceeded,
     RemoteClient,
 )
 from repro.serve.gateway import AsyncRemoteClient
@@ -109,6 +111,68 @@ class TestBatchFailureIsolation:
             stats = gateway.stats()
         assert stats["backpressure"] == 0
         assert stats["requests"] == 9  # all eight batch requests + the probe
+
+
+class TestBatchFrame:
+    """``predict_batch``/``submit_many`` cross the wire as one BATCH frame."""
+
+    class BatchBackend(EchoBackend):
+        """A running concurrent backend that records each ``submit_many``
+        call and fails the rows whose first value is negative."""
+
+        running = True
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.batches = []
+
+        def submit_many(self, model_id, samples, tenant="default"):
+            self.batches.append((model_id, tenant, len(samples)))
+            futures = [Future() for _ in samples]
+            for future, sample in zip(futures, samples):
+                if float(np.asarray(sample).flat[0]) < 0:
+                    future.set_exception(RateLimitExceeded(tenant, model_id, retry_after=0.5))
+                else:
+                    future.set_result(np.asarray(sample) * 2.0)
+            return futures
+
+    def test_one_backend_hop_and_per_row_typed_errors(self):
+        backend = self.BatchBackend()
+        samples = [np.full(2, float(i), dtype=np.float32) for i in range(16)]
+        samples[5] = -samples[5] - 1.0
+        with GatewayServer(backend, max_inflight=1) as gateway:
+            with RemoteClient(*gateway.address, tenant="acme", window=1) as client:
+                futures = client.submit_many("m", samples)
+                outcomes = [future.exception(timeout=10) or future.result() for future in futures]
+                with pytest.raises(RateLimitExceeded) as raised:
+                    client.predict_batch("m", samples)
+                assert client.predict_batch("m", samples[:4]) is not None
+                ledger = client.ledger()
+            stats = gateway.stats()
+        assert backend.batches == [("m", "acme", 16), ("m", "acme", 16), ("m", "acme", 4)]
+        assert backend.calls == []  # no per-row predict fallback
+        assert raised.value.retry_after == 0.5
+        for index, outcome in enumerate(outcomes):
+            if index == 5:
+                assert isinstance(outcome, RateLimitExceeded)
+            else:
+                np.testing.assert_array_equal(outcome, samples[index] * 2.0)
+        assert ledger == {
+            "submitted": 36,
+            "succeeded": 34,
+            "failed": 2,
+            "resubmitted": 0,
+            "reconnects": 0,
+            "pending": 0,
+        }
+        assert stats["requests"] == 36 and stats["errors"] == 2
+        assert stats["backpressure"] == 0
+
+    def test_empty_batch_sends_nothing(self, gateway):
+        with RemoteClient(*gateway.address) as client:
+            assert client.predict_batch("m", []) == []
+            assert client.submit_many("m", []) == []
+        assert gateway.stats()["requests"] == 0
 
 
 class TestPipelining:

@@ -19,11 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.serve.cluster.errors import DeadlineExceeded
 from repro.serve.gateway.errors import GatewayError, ProtocolError
 from repro.serve.gateway.server import GatewayServer
 from repro.serve.gateway.wire import (
     MAX_FRAME_BYTES,
     Ack,
+    BatchReply,
+    BatchRequest,
     ErrorFrame,
     Frame,
     Goodbye,
@@ -34,6 +37,7 @@ from repro.serve.gateway.wire import (
     Request,
     Response,
     decode_payload,
+    encode_error,
     encode_frame,
     read_frame,
 )
@@ -54,10 +58,22 @@ def sample_frames() -> list:
         Ack(request_id=9, message="ok"),
         Observe(request_id=5, what="all", max_spans=32),
         ObserveReply(request_id=5, payload={"server_id": "srv", "spans": []}),
+        BatchRequest(request_id=11, model_id="m", samples=array, deadline=0.5, priority=1),
+        BatchReply(request_id=11, rows=2, outputs=array),
+        BatchReply(
+            request_id=12,
+            rows=4,
+            outputs=array,
+            errors={
+                1: ProtocolError("bad row"),
+                3: DeadlineExceeded("m", "fuzz", 1.0, 2.0),
+            },
+        ),
     ]
-    # A *traced* Request is deliberately absent: the trace suffix is optional
-    # by design, so truncating exactly at the suffix boundary produces a valid
-    # untraced frame — which would falsify the every-truncation-fails pin.
+    # A *traced* Request (or BatchRequest) is deliberately absent: the trace
+    # suffix is optional by design, so truncating exactly at the suffix
+    # boundary produces a valid untraced frame — which would falsify the
+    # every-truncation-fails pin.
 
 
 FRAME_CORPUS = [encode_frame(frame) for frame in sample_frames()]
@@ -113,6 +129,68 @@ class TestDecodePayloadFuzz:
             # A mutation in free-form content (a tenant string, array bytes)
             # can still parse; it must still be a well-formed frame object.
             assert isinstance(frame, Frame)
+
+
+class TestBatchFrameGuards:
+    def reply_payload(self, rows: int, outputs: np.ndarray, errors: dict) -> bytes:
+        """A BATCH_REPLY body with arbitrary counts (the encoder refuses bad ones)."""
+        reply = BatchReply(request_id=1, rows=1, outputs=np.zeros((1, 3), np.float32))
+        good = encode_frame(reply)[4:]
+        head = good[: 2 + 8]  # version, type, request id
+        body = encode_frame(Response(request_id=1, output=outputs))[4 + 2 + 8 :]
+        parts = [head, struct.pack("!I", rows), body, struct.pack("!I", len(errors))]
+        for index, error in errors.items():
+            parts.append(struct.pack("!I", index) + encode_error(error))
+        return b"".join(parts)
+
+    @pytest.mark.parametrize(
+        ("rows", "outputs", "errors"),
+        [
+            (3, 2, {}),  # too few answers
+            (2, 2, {0: ProtocolError("x")}),  # too many answers
+            (1, 0, {}),  # nothing answers the row
+        ],
+    )
+    def test_row_count_mismatch_is_a_protocol_error(self, rows, outputs, errors):
+        payload = self.reply_payload(rows, np.zeros((outputs, 3), np.float32), errors)
+        with pytest.raises(ProtocolError, match="row count mismatch"):
+            decode_payload(payload)
+
+    def test_out_of_order_error_rows_are_a_protocol_error(self):
+        errors = {2: ProtocolError("a"), 0: ProtocolError("b")}
+        payload = self.reply_payload(3, np.zeros((1, 3), np.float32), errors)
+        with pytest.raises(ProtocolError, match="strictly increasing"):
+            decode_payload(payload)
+
+    def test_out_of_range_error_row_is_a_protocol_error(self):
+        payload = self.reply_payload(2, np.zeros((1, 3), np.float32), {5: ProtocolError("a")})
+        with pytest.raises(ProtocolError, match="out of range"):
+            decode_payload(payload)
+
+    def test_zero_row_reply_is_a_protocol_error(self):
+        payload = self.reply_payload(0, np.zeros((0, 3), np.float32), {})
+        with pytest.raises(ProtocolError, match="at least one row"):
+            decode_payload(payload)
+
+    def test_zero_row_batch_is_a_protocol_error(self):
+        full = BatchRequest(request_id=1, model_id="m", samples=np.zeros((1, 3), np.float32))
+        empty = Request(request_id=1, model_id="m", sample=np.zeros((0, 3), np.float32))
+        # The REQUEST body has the BATCH layout; only the type byte differs.
+        payload = bytearray(encode_frame(empty)[4:])
+        payload[1] = encode_frame(full)[5]
+        with pytest.raises(ProtocolError, match="at least one row"):
+            decode_payload(bytes(payload))
+        with pytest.raises(ProtocolError, match="at least one row"):
+            encode_frame(BatchRequest(request_id=1, model_id="m", samples=empty.sample))
+
+    def test_outcomes_interleave_outputs_and_errors(self):
+        error = ProtocolError("row 1")
+        reply = BatchReply.from_outcomes(4, [np.ones(3), error, np.zeros(3)])
+        decoded = decode_payload(encode_frame(reply)[4:])
+        outcomes = decoded.outcomes()
+        np.testing.assert_array_equal(outcomes[0], np.ones(3))
+        assert isinstance(outcomes[1], ProtocolError) and str(outcomes[1]) == "row 1"
+        np.testing.assert_array_equal(outcomes[2], np.zeros(3))
 
 
 class TestReadFrameFuzz:

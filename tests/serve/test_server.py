@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +207,77 @@ class TestConcurrentMode:
                 server.submit("lenet", images[2])
         finally:
             server._running = False
+
+    def test_overflowing_submit_many_enqueues_no_row(self, registry, images):
+        server = InferenceServer(registry, num_workers=1, queue_size=2)
+        with server:
+            with pytest.raises(ServerOverloaded, match="queue is full"):
+                server.submit_many("lenet", list(images[:10]))
+        stats = server.stats("lenet")
+        assert stats["requests"] + stats["errors"] == 0
+
+    def test_queue_bound_counts_rows(self, registry, images):
+        server = InferenceServer(registry, Batcher(max_batch_size=2, max_wait=0.0), queue_size=3)
+        server._running = True  # workers that never drain, as above
+        try:
+            server.submit_many("lenet", list(images[:2]))
+            assert server.queue_depth == 2
+            with pytest.raises(ServerOverloaded):
+                server.submit_many("lenet", list(images[:2]))
+            server.submit("lenet", images[0])
+            assert server.queue_depth == 3
+        finally:
+            server._running = False
+
+    def test_lone_request_never_waits_out_max_wait(self, registry, images):
+        server = InferenceServer(registry, Batcher(max_batch_size=8, max_wait=0.2), num_workers=1)
+        with server:
+            server.predict("lenet", images[0])  # build the model outside the clock
+            for index in range(3):
+                began = time.perf_counter()
+                server.submit("lenet", images[index]).result(timeout=30)
+                # Generous bound: no arrival evidence means no wait at all.
+                assert time.perf_counter() - began < 0.1
+                time.sleep(0.25)  # spaced arrivals predict nothing within max_wait
+
+    def test_mixed_submit_and_submit_many_hammer_keeps_the_row_ledger(self, images):
+        """More threads than cores mix ``submit`` and ``submit_many`` against
+        several workers under a short switch interval: every row resolves to
+        its sequential result and the row count of the queue returns to 0."""
+        server = bit_reproducible_server(max_batch_size=8, num_workers=3)
+        sequential = [server.predict("lenet", sample) for sample in images]
+        outcomes: list = []
+        lock = threading.Lock()
+
+        def client(thread_index: int) -> None:
+            for round_index in range(4):
+                picks = [(thread_index + round_index + k) % len(images) for k in range(3)]
+                if (thread_index + round_index) % 2:
+                    futures = server.submit_many("lenet", [images[i] for i in picks])
+                else:
+                    futures = [server.submit("lenet", images[i]) for i in picks]
+                for pick, future in zip(picks, futures):
+                    output = future.result(timeout=30)
+                    with lock:
+                        outcomes.append((pick, output))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=client, args=(index,)) for index in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert server.queue_depth == 0
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(outcomes) == 8 * 4 * 3
+        assert server.stats("lenet")["requests"] == len(outcomes) + len(images)
+        for pick, output in outcomes:
+            assert np.array_equal(output, sequential[pick])
 
     def test_threaded_batches_actually_coalesce(self, images):
         server = bit_reproducible_server(max_batch_size=8, num_workers=1)
