@@ -86,6 +86,31 @@ from repro.serve import (
 from repro.serve.observability.slo import BurnRateRule, LatencyObjective
 
 
+#: Interleaved off/on pairs behind each gated overhead.
+OVERHEAD_PAIRS = 5
+
+
+def overhead_trials(run_off, run_on) -> Dict[str, object]:
+    """Price an instrumentation on interleaved off/on pairs of rate readings.
+
+    ``run_off`` and ``run_on`` each return one rate (higher is better).
+    Interleaving lets host drift hit both sides of a pair alike; every pair
+    is recorded with its overhead, the gates read the median, and the IQR
+    says how widely the pairs spread on the measuring host.
+    """
+    trials = []
+    for _ in range(OVERHEAD_PAIRS):
+        off, on = run_off(), run_on()
+        overhead = (off / on - 1.0) * 100.0 if on else float("inf")
+        trials.append({"off": off, "on": on, "overhead_pct": round(overhead, 2)})
+    q1, median, q3 = np.percentile([trial["overhead_pct"] for trial in trials], [25, 50, 75])
+    return {
+        "trials": trials,
+        "median_pct": round(float(median), 2),
+        "iqr_pct": round(float(q3 - q1), 2),
+    }
+
+
 def throughput(total_samples: int, fn) -> Dict[str, float]:
     """Run ``fn`` once (after a warmup call) and report samples/second."""
     fn()
@@ -186,7 +211,9 @@ def bench_middleware(registry: ModelRegistry, images: np.ndarray) -> Dict[str, o
       attached at ``sample_rate = 0.0``: every hop still opens/closes its
       span (the ids, the clock reads, the retention check) but nothing is
       retained.  ``tracing_overhead_pct`` is the price of *carrying* the
-      instrumentation; the ``--max-tracing-overhead`` gate pins it.
+      instrumentation, the median of interleaved chained/traced pairs (each
+      side the best of three runs); the ``--max-tracing-overhead`` gate pins
+      it.
     * **cache** — a stream where every sample appears twice (uniques first,
       then their repeats: a 50% duplicate-request rate) through a server with
       a ResponseCache vs one without.  The acceptance bar is a >1.5x
@@ -225,13 +252,18 @@ def bench_middleware(registry: ModelRegistry, images: np.ndarray) -> Dict[str, o
     chained_result = best_throughput(
         len(images), lambda: chained.predict_batch("lenet", list(images))
     )
-    traced_result = best_throughput(
-        len(images), lambda: traced.predict_batch("lenet", list(images))
-    )
     overhead_pct = (bare_result["samples_per_s"] / chained_result["samples_per_s"] - 1.0) * 100.0
-    tracing_overhead_pct = (
-        chained_result["samples_per_s"] / traced_result["samples_per_s"] - 1.0
-    ) * 100.0
+
+    def rate(server: InferenceServer):
+        def run() -> float:
+            result = best_throughput(
+                len(images), lambda: server.predict_batch("lenet", list(images))
+            )
+            return result["samples_per_s"]
+
+        return run
+
+    tracing = overhead_trials(rate(chained), rate(traced))
 
     # 50% duplicate stream: each of the first half of the images twice.
     uniques = list(images[: max(len(images) // 2, 1)])
@@ -260,9 +292,9 @@ def bench_middleware(registry: ModelRegistry, images: np.ndarray) -> Dict[str, o
         },
         "tracing": {
             "sample_rate": 0.0,
-            "chained": chained_result,
-            "traced_off": traced_result,
-            "tracing_overhead_pct": round(tracing_overhead_pct, 2),
+            "trials": tracing["trials"],
+            "tracing_overhead_pct": tracing["median_pct"],
+            "tracing_overhead_iqr_pct": tracing["iqr_pct"],
         },
         "cache": {
             "duplicate_rate": 0.5,
@@ -366,7 +398,8 @@ def bench_cluster(tiny: bool, seed: int) -> Dict[str, object]:
 
     total = rounds * num_models * chunk
     single_result = throughput(total, lambda: sweep(single))
-    cluster_result = throughput(total, lambda: sweep(router))
+    with router:
+        cluster_result = throughput(total, lambda: sweep(router))
     speedup = cluster_result["samples_per_s"] / single_result["samples_per_s"]
 
     shard_sizes = {
@@ -645,11 +678,13 @@ def bench_slo(tiny: bool, seed: int) -> Dict[str, object]:
     100 Hz, and with the full watching stack — profiler plus a
     :class:`WindowedSeriesStore` attached to the router's registry plus an
     :class:`AlertManager` daemon evaluating a latency SLO every 250 ms.
-    ``profiler_overhead_pct`` is the price of *continuous* profiling (gated
-    by ``--max-profiler-overhead``); ``full_overhead_pct`` is everything
-    together.  The healthy run must not page: ``alerts_fired`` is asserted 0.
-    Two micro-rates round out the section: store ingest (observations/s into
-    the per-bucket latency histograms) and SLO evaluation (full manager sweeps/s).
+    ``profiler_overhead_pct`` is the price of *continuous* profiling, the
+    median of interleaved bare/profiled pairs (gated by
+    ``--max-profiler-overhead``); ``full_overhead_pct`` is everything
+    together, against the median bare rate.  The healthy run must not page:
+    ``alerts_fired`` is asserted 0.  Two micro-rates round out the section:
+    store ingest (observations/s into the per-bucket latency histograms) and
+    SLO evaluation (full manager sweeps/s).
     """
     num_clients = 8
     per_client = 8 if tiny else 32
@@ -769,14 +804,24 @@ def bench_slo(tiny: bool, seed: int) -> Dict[str, object]:
             result["windowed_p95_ms"] = store.quantile("gateway.latency_ms", 0.95, window=60.0)
         return result
 
-    bare = run_at(profiled=False, watched=False)
-    profiled = run_at(profiled=True, watched=False)
-    full = run_at(profiled=True, watched=True)
+    last: Dict[bool, Dict[str, object]] = {}
 
-    def overhead_pct(instrumented: Dict[str, object]) -> float:
-        if not instrumented["requests_per_s"]:
-            return float("inf")
-        return round((bare["requests_per_s"] / instrumented["requests_per_s"] - 1.0) * 100.0, 2)
+    def rate_at(profiled: bool):
+        def run() -> float:
+            last[profiled] = run_at(profiled=profiled, watched=False)
+            return last[profiled]["requests_per_s"]
+
+        return run
+
+    profiler = overhead_trials(rate_at(False), rate_at(True))
+    bare, profiled = last[False], last[True]  # the final pair, in full
+    bare_rate = float(np.median([trial["off"] for trial in profiler["trials"]]))
+    full = run_at(profiled=True, watched=True)
+    full_overhead_pct = (
+        round((bare_rate / full["requests_per_s"] - 1.0) * 100.0, 2)
+        if full["requests_per_s"]
+        else float("inf")
+    )
 
     # Micro-rate: windowed-store ingest straight into the per-bucket histograms.
     micro_store = WindowedSeriesStore(interval=1.0, buckets=16)
@@ -802,8 +847,10 @@ def bench_slo(tiny: bool, seed: int) -> Dict[str, object]:
         "bare": bare,
         "profiled": profiled,
         "full": full,
-        "profiler_overhead_pct": overhead_pct(profiled),
-        "full_overhead_pct": overhead_pct(full),
+        "profiler_trials": profiler["trials"],
+        "profiler_overhead_pct": profiler["median_pct"],
+        "profiler_overhead_iqr_pct": profiler["iqr_pct"],
+        "full_overhead_pct": full_overhead_pct,
         "store_ingest_per_s": round(ingest_count / ingest_elapsed, 2)
         if ingest_elapsed
         else float("inf"),
@@ -868,7 +915,7 @@ def bench_resilience(tiny: bool, seed: int) -> Dict[str, object]:
         # measure routing + failover, not the secondary's one-time model load.
         for replica_id in router.replica_ids():
             router.replica(replica_id).predict("lenet", images[0])
-        return router
+        return router.start()  # every caller stops it
 
     def hammer(router) -> Dict[str, float]:
         completions: list = []  # (finished_at, latency_s)
@@ -1120,7 +1167,8 @@ def run(
     print(
         f"{'tracing overhead (off)':24s} "
         f"{middleware['tracing']['tracing_overhead_pct']:9.1f}% "
-        f"(chain + Tracer at sample_rate=0.0)"
+        f"(chain + Tracer at sample_rate=0.0; median of {OVERHEAD_PAIRS} pairs, "
+        f"IQR {middleware['tracing']['tracing_overhead_iqr_pct']:.1f}%)"
     )
     print(
         f"{'cache @50% duplicates':24s} "
@@ -1165,7 +1213,8 @@ def run(
     print(
         f"{'slo watching layer (8c)':24s} "
         f"{slo['full']['requests_per_s']:10.1f} requests/s "
-        f"(profiler {slo['profiler_overhead_pct']:.1f}%, "
+        f"(profiler {slo['profiler_overhead_pct']:.1f}% "
+        f"IQR {slo['profiler_overhead_iqr_pct']:.1f}%, "
         f"full stack {slo['full_overhead_pct']:.1f}%, "
         f"ingest {slo['store_ingest_per_s'] / 1e3:.0f}k obs/s, "
         f"fired {slo['full']['alerts_fired']})"
@@ -1236,7 +1285,9 @@ def run(
         print(
             f"TRACING GATE FAILED: sampled-off tracing overhead "
             f"{tracing_overhead:.2f}% >= allowed {max_tracing_overhead:.1f}% "
-            f"(middleware section, Tracer at sample_rate=0.0)"
+            f"(median of {OVERHEAD_PAIRS} interleaved pairs, IQR "
+            f"{middleware['tracing']['tracing_overhead_iqr_pct']:.2f}%; middleware "
+            f"section, Tracer at sample_rate=0.0)"
         )
         raise SystemExit(1)
     profiler_overhead = slo["profiler_overhead_pct"]
@@ -1244,7 +1295,9 @@ def run(
         print(
             f"PROFILER GATE FAILED: continuous-profiler overhead "
             f"{profiler_overhead:.2f}% >= allowed {max_profiler_overhead:.1f}% "
-            f"(slo section, StageProfiler at 100 Hz on the gateway hammer)"
+            f"(median of {OVERHEAD_PAIRS} interleaved pairs, IQR "
+            f"{slo['profiler_overhead_iqr_pct']:.2f}%; slo section, StageProfiler "
+            f"at 100 Hz on the gateway hammer)"
         )
         raise SystemExit(1)
     if slo["full"]["alerts_fired"]:

@@ -215,10 +215,11 @@ def main() -> None:
 
     # SLA admission: a request whose deadline already passed is shed with a
     # typed error before any replica computes.
-    try:
-        router.predict("mnist-lenet", proxy.augment(queries[0]), deadline=-0.001)
-    except DeadlineExceeded as error:
-        print(f"admission: {error}")
+    with router:
+        try:
+            router.predict("mnist-lenet", proxy.augment(queries[0]), deadline=-0.001)
+        except DeadlineExceeded as error:
+            print(f"admission: {error}")
 
     # ------------------------------------------------------------------
     # 6. Network gateway: remote clients reach the cluster over loopback.

@@ -7,8 +7,9 @@ This package turns a trained augmented model into a multi-client service:
   instances;
 * :class:`~repro.serve.batcher.Batcher` — coalesces single-sample requests
   into padded batches run under ``nn.no_grad()``;
-* :class:`~repro.serve.server.InferenceServer` — synchronous facade plus a
-  thread-based concurrent mode with per-model latency/fill statistics;
+* :class:`~repro.serve.server.InferenceServer` — queue-and-worker serving
+  (``predict`` runs the same path on the caller's thread) with per-model
+  latency/fill statistics;
 * :class:`~repro.serve.middleware.MiddlewareChain` — the composable
   interception pipeline (cache, rate limiting, validation, telemetry, the
   obfuscation guard) every request path runs through;

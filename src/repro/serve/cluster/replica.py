@@ -74,7 +74,6 @@ class ReplicaWorker:
         )
         self._killed = False
         self._draining = False
-        self._sync_active = 0
         self._outstanding: Dict[int, Future] = {}
         self._next_handle = 0
         self._lock = threading.Lock()
@@ -183,14 +182,10 @@ class ReplicaWorker:
         tenant: str = "default",
         trace: Optional[TraceContext] = None,
     ) -> List[np.ndarray]:
+        """Serve on the caller's thread (the autoscaler's priming forward);
+        the router itself only ever calls :meth:`submit_many`."""
         self._check_serving()
-        with self._lock:
-            self._sync_active += len(samples)
-        try:
-            return self.server.predict_batch(model_id, samples, tenant=tenant, trace=trace)
-        finally:
-            with self._lock:
-                self._sync_active -= len(samples)
+        return self.server.predict_batch(model_id, samples, tenant=tenant, trace=trace)
 
     def submit(
         self,
@@ -267,7 +262,7 @@ class ReplicaWorker:
     @property
     def in_flight(self) -> int:
         with self._lock:
-            return len(self._outstanding) + self._sync_active
+            return len(self._outstanding)
 
     def load(self) -> int:
         """Outstanding rows on this replica (queued + executing)."""

@@ -7,7 +7,7 @@
 clients (the :class:`~repro.serve.proxy.ExtractionProxy`,
 ``CloudSession.publish``) work against a cluster unchanged.
 
-Request flow, concurrent mode::
+Request flow::
 
     submit_many() ──> cluster MiddlewareChain descent, once per row
                       (rate limit, telemetry, ...)
@@ -25,10 +25,10 @@ Request flow, concurrent mode::
                with a typed error and take this same path, which is the
                zero-lost-requests failover guarantee the cluster tests pin.
 
-``submit()`` is ``submit_many()`` of one row.
-
-The sync path (``predict_batch``) runs the identical failover loop on the
-caller's thread.  Middleware composes at two scopes: the router's chain sees
+``submit()`` is ``submit_many()`` of one row, and ``predict`` /
+``predict_batch`` are ``submit_many()`` plus a wait on the futures, so
+failover, breaker probes, backoff and deadline shedding have one
+implementation.  Middleware composes at two scopes: the router's chain sees
 every request once, cluster-wide (one shared ``RateLimiter`` enforces a
 global tenant budget); each replica's chain sees only its shard's traffic.
 
@@ -75,7 +75,7 @@ _HEALTH_FAILURES = (ReplicaUnavailable, ServerStopped, ServerOverloaded)
 
 @dataclass
 class _ClusterRequest:
-    """Router-side state for one concurrent-mode row."""
+    """Router-side state for one row."""
 
     model_id: str
     sample: np.ndarray
@@ -451,7 +451,7 @@ class ClusterRouter:
         }
 
     # ------------------------------------------------------------------
-    # Synchronous API (ExtractionProxy-compatible)
+    # Serving API (ExtractionProxy-compatible)
     # ------------------------------------------------------------------
     def predict(
         self,
@@ -473,141 +473,17 @@ class ClusterRouter:
         deadline: Optional[float] = None,
         trace: Optional[TraceContext] = None,
     ) -> List[np.ndarray]:
-        """Serve on the caller's thread with the full failover loop.
+        """``submit_many`` plus a wait: the first row error is raised.
 
         ``deadline`` is a relative SLA budget in seconds; an expired budget
-        sheds with :class:`DeadlineExceeded` before any replica computes.
+        sheds with :class:`DeadlineExceeded` before any replica computes.  A
+        router that is not running refuses like ``submit`` does.
         """
-        absolute = None if deadline is None else self._clock() + float(deadline)
-        arrays = [np.asarray(sample) for sample in samples]
-        span: Optional[ActiveSpan] = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                "router.predict",
-                parent=trace,
-                attributes={"model_id": model_id, "tenant": tenant, "batch": len(arrays)},
-            )
-        try:
-            outputs = self._predict_batch_inner(model_id, arrays, tenant, absolute, span)
-        except BaseException as error:
-            if span is not None:
-                span.end(error=error)
-            raise
-        if span is not None:
-            span.end()
-        return outputs
-
-    def _predict_batch_inner(
-        self,
-        model_id: str,
-        arrays: List[np.ndarray],
-        tenant: str,
-        absolute: Optional[float],
-        span: Optional[ActiveSpan],
-    ) -> List[np.ndarray]:
-        # One read: the emptiness check and the execution must not straddle a
-        # concurrent swap_middleware.
-        chain = self.middleware
-        if not chain:
-            return self._dispatch_sync(model_id, arrays, tenant, absolute, span)
-        stats = self._model_stats(model_id)
-        contexts = [
-            RequestContext(
-                model_id=model_id,
-                sample=array,
-                tenant=tenant,
-                source="cluster",
-                deadline=absolute,
-            )
-            for array in arrays
-        ]
-        for context in contexts:
-            context.stats = stats
-            context.trace = span
-
-        def run_model(pending: List[RequestContext]) -> None:
-            outputs = self._dispatch_sync(
-                model_id, [context.sample for context in pending], tenant, absolute, span
-            )
-            for context, output in zip(pending, outputs):
-                context.response = output
-
-        chain.execute_batch(contexts, run_model)
-        outputs: List[np.ndarray] = []
-        for context in contexts:
-            if context.error is not None:
-                raise context.error
-            outputs.append(context.response)
-        return outputs
-
-    def _dispatch_sync(
-        self,
-        model_id: str,
-        samples: List[np.ndarray],
-        tenant: str,
-        absolute_deadline: Optional[float],
-        span: Optional[ActiveSpan] = None,
-    ) -> List[np.ndarray]:
-        if absolute_deadline is not None and self._clock() > absolute_deadline:
-            self._count("shed")
-            raise DeadlineExceeded(model_id, tenant, absolute_deadline, self._clock())
-        excluded: Set[str] = set()
-        tried: List[str] = []
-        last_error: Optional[BaseException] = None
-        session = self.retry.session() if self.retry is not None else None
-        attempts = 0
-        while attempts <= self.max_retries:
-            candidates = self.placement.candidates(model_id, self._routable(excluded))
-            if not candidates:
-                break
-            replica = candidates[0]
-            # Burn the breaker's half-open probe only here, on the replica we
-            # actually dispatch to; a refusal (breaker opened since listing)
-            # excludes the replica without spending retry budget.
-            if not self.health.try_dispatch(replica.replica_id):
-                excluded.add(replica.replica_id)
-                continue
-            attempts += 1
-            tried.append(replica.replica_id)
-            self._count_failover(replica.replica_id, "attempts")
-            attempt: Optional[ActiveSpan] = None
-            if span is not None:
-                attempt = span.child(
-                    "router.dispatch",
-                    attributes={"replica_id": replica.replica_id, "attempt": attempts},
-                )
-            try:
-                if attempt is None:
-                    outputs = replica.predict_batch(model_id, samples, tenant=tenant)
-                else:
-                    outputs = replica.predict_batch(
-                        model_id, samples, tenant=tenant, trace=attempt.context
-                    )
-            except _RETRYABLE as error:
-                if attempt is not None:
-                    attempt.end(error=error)
-                last_error = error
-                excluded.add(replica.replica_id)
-                self._count_failover(replica.replica_id, "failures")
-                if isinstance(error, _HEALTH_FAILURES):
-                    self.health.record_failure(replica.replica_id)
-                self._count("failovers")
-                if session is not None:
-                    self._record_backoff(session.pause())
-                continue
-            except BaseException as error:  # non-retryable: surface, span closed
-                if attempt is not None:
-                    attempt.end(error=error)
-                raise
-            if attempt is not None:
-                attempt.end()
-            self.health.record_success(replica.replica_id)
-            self._count("completed", len(samples))
-            return outputs
-        self._count("failed", len(samples))
-        if not tried:
-            raise NoHealthyReplica(model_id, excluded)
-        raise FailoverExhausted(model_id, len(tried), tried, last_error)
+        traces = None if trace is None else [trace] * len(samples)
+        futures = self.submit_many(
+            model_id, samples, tenant=tenant, deadline=deadline, traces=traces
+        )
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Concurrent API
@@ -658,7 +534,7 @@ class ClusterRouter:
                     raise ServerStopped(
                         "cluster has been stopped; call start() again before submit()"
                     )
-                raise RuntimeError("cluster is not started; call start() or use predict()")
+                raise RuntimeError("cluster is not started; call start() first")
         absolute = None if deadline is None else self._clock() + float(deadline)
         rows = [
             _ClusterRequest(
@@ -757,8 +633,9 @@ class ClusterRouter:
                     self._fail(row, error)
                 return
             replica = candidates[0]
-            # Dispatch-time probe commit (see _dispatch_sync): a replica whose
-            # breaker opened since listing is excluded, not counted as tried.
+            # Burn the breaker's half-open probe only here, on the replica we
+            # actually dispatch to: a replica whose breaker opened since
+            # listing is excluded without spending retry budget.
             if not self.health.try_dispatch(replica.replica_id):
                 unit.excluded.add(replica.replica_id)
                 replica = None
@@ -983,9 +860,10 @@ class ClusterRouter:
     def failover_stats(self) -> Dict[str, object]:
         """Resilience accounting: per-replica attempts/failures/breaker trips.
 
-        ``attempts`` counts every dispatch routed to the replica (first tries
-        and failover retries alike); ``failures`` the retryable errors it
-        returned, i.e. how often it was excluded mid-request.  When the health
+        ``attempts`` counts the rows of every dispatch routed to the replica
+        (first tries and failover retries alike); ``failures`` the rows it
+        failed with a retryable error, i.e. as if each row had been sent and
+        excluded on its own.  When the health
         monitor runs circuit breakers, each replica's breaker state and trip
         count ride along, and ``backoff_seconds`` totals the pacing the retry
         policy inserted between failover attempts.

@@ -3,8 +3,8 @@
 Cross-cutting serving concerns — caching, admission control, validation,
 telemetry, the obfuscation trust boundary — are expressed as interceptors
 (:class:`ServeMiddleware`) composed by a :class:`MiddlewareChain` that wraps
-every request path: the server's sync API, its queue/worker concurrent mode
-(hooks run around the *coalesced* batch) and the client-side proxy.
+every request path: the server's one execution path (hooks run around the
+*coalesced* batch), the cluster router and the client-side proxy.
 
 Built-ins:
 

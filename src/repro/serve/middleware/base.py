@@ -68,7 +68,7 @@ class RequestContext:
     model_id: str
     sample: np.ndarray
     tenant: str = "default"
-    source: str = "sync"  # "sync" | "concurrent" | "client" | "cluster"
+    source: str = "server"  # "server" | "client" | "cluster"
     #: Absolute SLA deadline (router clock) when the request carries one.
     #: Populated by the cluster router from its admission terms — which a
     #: network gateway in turn fills from the connection handshake — so

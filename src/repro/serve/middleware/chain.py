@@ -1,9 +1,9 @@
 """The interception chain: composes middlewares around model execution.
 
 ``MiddlewareChain`` is the one pipeline all request flow passes through —
-the server's sync path, its queue/worker concurrent path, and the client
-proxy all build :class:`RequestContext` objects and hand them here, so a
-middleware written once observes every mode identically.
+the server's execution (on a worker or the caller's thread), the cluster
+router and the client proxy all build :class:`RequestContext` objects and
+hand them here, so a middleware written once observes every host identically.
 
 Semantics (pinned by ``tests/serve/test_middleware.py``):
 

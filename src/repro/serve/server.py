@@ -1,15 +1,12 @@
-"""Inference server: a synchronous facade plus a thread-based concurrent mode.
+"""Inference server: one queue-and-worker serving path.
 
-Synchronous mode (``predict`` / ``predict_batch``) serves the caller's thread
-directly and is what the benchmarks use to measure the raw batching win.
-
-Concurrent mode (``start`` / ``submit`` / ``submit_many`` / ``stop``) is the
-middleware story: clients enqueue submissions (one row from ``submit``, a
-whole batch as *one* queue item from ``submit_many``), worker threads take
-them off the shared queue, group them by model and execute each group as
-padded batches.  Every row resolves its own
-:class:`concurrent.futures.Future`, so clients block only on their own
-result.
+Clients enqueue submissions (``submit`` one row, ``submit_many`` a whole
+batch as *one* queue item); worker threads take them off the shared queue,
+group them by model and execute each group as padded batches.  Every row
+resolves its own :class:`concurrent.futures.Future`, so clients block only
+on their own result.  ``predict`` / ``predict_batch`` build the same queue
+item and execute it on the caller's thread, the caller acting as its own
+worker, so a server that was never started still serves.
 
 A worker closes a batch on evidence, not on a clock.  After taking its first
 item it drains whatever is already queued, without blocking, up to
@@ -17,18 +14,19 @@ item it drains whatever is already queued, without blocking, up to
 observed arrival rate — a moving average of the gaps between enqueues —
 predicts another submission before ``first pickup + batcher.max_wait``, and
 each wait lasts at most twice that expected gap, so a stream that stops
-closes the batch early.  ``max_wait`` is therefore an upper bound on the
-wait, not a fixed one: a lone request runs at once, and ``max_wait=0``
-never waits.
+closes the batch early.  An enqueue that finds the server idle (no queued
+rows, no rows held by a worker) counts as a gap of ``2 * max_wait``: the
+last answer may have caused it, so it is no evidence of more demand.  A
+caller that waits for each answer therefore never waits out ``max_wait``,
+which bounds the wait rather than fixing it; ``max_wait=0`` never waits.
 
-Both modes funnel every request through one pipeline:
-:meth:`_serve_contexts` builds a :class:`RequestContext` per request and
-hands the coalesced group to the server's
-:class:`~repro.serve.middleware.MiddlewareChain`, whose hooks therefore run
-around the *coalesced* batch (not per-future) with identical semantics in
-sync and concurrent mode — a middleware may answer from cache, reject with a
-typed error, or observe timings, and the caller sees the same behaviour
-either way (sync raises, futures carry the exception).
+Every request funnels through :meth:`_serve_contexts`, which hands the
+coalesced group to the server's
+:class:`~repro.serve.middleware.MiddlewareChain`, so hooks run around the
+*coalesced* batch, and ``predict`` raises what a ``submit`` future carries.
+The chain runs even when empty: every served request records its
+``request.total`` and ``model`` stages, and its latency is the chain's
+``timings["total"]``.
 
 Per-model statistics (request/batch counts, batch-fill ratio, p50/p95
 latency, middleware stage timings) are tracked in
@@ -116,13 +114,15 @@ class InferenceServer:
         self.middleware = MiddlewareChain.coerce(middleware)
         self.tracer = tracer
         #: Queued items; ``_queued_rows`` counts their rows, which is what
-        #: ``queue_size`` bounds.  ``_gap`` is the moving average of the gaps
+        #: ``queue_size`` bounds, and ``_held_rows`` the rows taken for
+        #: execution but not answered yet.  ``_gap`` is the moving average of the gaps
         #: between enqueues (``None`` until two have been seen) and
-        #: ``_last_arrival`` the newest enqueue; all four live under
+        #: ``_last_arrival`` the newest enqueue; all five live under
         #: ``_ready``, the lock every enqueue already takes.
         self._queue: Deque[object] = deque()
         self._queue_size = queue_size
         self._queued_rows = 0
+        self._held_rows = 0
         self._gap: Optional[float] = None
         self._last_arrival: Optional[float] = None
         self._ready = threading.Condition(threading.Lock())
@@ -189,7 +189,7 @@ class InferenceServer:
         return self._queued_rows
 
     # ------------------------------------------------------------------
-    # Synchronous API
+    # Serving on the caller's thread
     # ------------------------------------------------------------------
     def predict(
         self,
@@ -210,36 +210,24 @@ class InferenceServer:
     ) -> List[np.ndarray]:
         """Serve many samples on the caller's thread, chunked into padded batches.
 
-        The first per-request error (a middleware rejection or a model
-        failure) is raised; middleware short-circuits (e.g. cache hits) are
-        transparent.  Per-request *outcomes* match concurrent mode exactly
-        (pinned by the parity test), but delivery differs by API shape: a
-        list-returning sync call is fail-fast, so sibling results computed
-        before the first rejection are discarded, while ``submit_many``
-        futures deliver every outcome individually.  Use ``submit_many``
-        when partial results of a mixed batch matter.
+        The rows form one queue item that the caller executes itself, exactly
+        as a worker would, so per-row outcomes match ``submit_many``.  Delivery
+        is fail-fast: every row runs, then the first row error (a middleware
+        rejection or a model failure) is raised and the sibling results are
+        discarded.  Use ``submit_many`` when partial results of a mixed batch
+        matter.
         """
-        outputs: List[np.ndarray] = []
-        for start in range(0, len(samples), self.batcher.max_batch_size):
-            chunk = samples[start : start + self.batcher.max_batch_size]
-            contexts = [
-                RequestContext(
-                    model_id=model_id,
-                    sample=np.asarray(sample),
-                    tenant=tenant,
-                    source="sync",
-                )
-                for sample in chunk
-            ]
-            self._serve_contexts(model_id, contexts, parents=[trace] * len(contexts))
-            for context in contexts:
-                if context.error is not None:
-                    raise context.error
-                outputs.append(context.response)
-        return outputs
+        rows = [np.asarray(sample) for sample in samples]
+        request = _Request(
+            model_id, rows, [Future() for _ in rows], tenant=tenant, traces=[trace] * len(rows)
+        )
+        with self._ready:
+            self._held_rows += len(rows)
+        self._execute(model_id, [request])
+        return [future.result() for future in request.futures]
 
     # ------------------------------------------------------------------
-    # Concurrent mode
+    # Queue and workers
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
@@ -285,6 +273,7 @@ class InferenceServer:
             with self._ready:
                 leftovers = [item for item in self._queue if item is not _SHUTDOWN]
                 self._queue.clear()
+                self._held_rows += self._queued_rows
                 self._queued_rows = 0
             if leftovers:
                 self._execute_groups(leftovers)
@@ -362,22 +351,26 @@ class InferenceServer:
                         f"{self._queue_size} rows pending, {len(rows)} offered); "
                         "add workers or apply back-pressure upstream"
                     )
+                idle = not self._queued_rows and not self._held_rows
                 self._queue.append(request)
                 self._queued_rows += len(rows)
-                self._stamp_arrival(time.perf_counter())
+                self._stamp_arrival(time.perf_counter(), idle)
                 self._ready.notify()
         return request.futures
 
-    def _stamp_arrival(self, now: float) -> None:
+    def _stamp_arrival(self, now: float, idle: bool) -> None:
         """Fold one enqueue (``now``, read under ``_ready``) into the moving
         average of inter-arrival gaps.
 
         Gaps are capped at twice ``max_wait``: any longer gap already says
         "nothing arrives within the wait", and the cap lets the average fall
-        back within a few submissions when a burst follows an idle spell.
+        back within a few submissions when a burst follows an idle spell.  An
+        enqueue that found the server ``idle`` counts as the capped gap
+        whatever its clock gap: the last answer may have caused it.
         """
         if self._last_arrival is not None:
-            gap = min(now - self._last_arrival, 2 * self.batcher.max_wait)
+            cap = 2 * self.batcher.max_wait
+            gap = cap if idle else min(now - self._last_arrival, cap)
             if self._gap is None:
                 self._gap = gap
             else:
@@ -415,6 +408,7 @@ class InferenceServer:
                     requests.append(item)
                     rows += len(item.samples)
                     self._queued_rows -= len(item.samples)
+                    self._held_rows += len(item.samples)
                 if rows >= max_rows:
                     return requests, False
                 remaining = deadline - time.perf_counter()
@@ -434,7 +428,12 @@ class InferenceServer:
 
     def _execute(self, model_id: str, group: List[_Request]) -> None:
         """Serve one coalesced same-model group in batches of at most
-        ``max_batch_size`` rows, resolving each row's future as its batch ends."""
+        ``max_batch_size`` rows, resolving each row's future as its batch ends.
+
+        The group's rows are counted in ``_held_rows``.  Each batch releases
+        its count before its futures resolve, so a caller woken by its answer
+        finds the server idle when it sends the next request.
+        """
         contexts: List[RequestContext] = []
         futures: List[Future] = []
         parents: List[Optional[TraceContext]] = []
@@ -444,7 +443,7 @@ class InferenceServer:
                     model_id=model_id,
                     sample=sample,
                     tenant=request.tenant,
-                    source="concurrent",
+                    source="server",
                     created_at=request.submitted_at,
                 )
                 for sample in request.samples
@@ -455,6 +454,8 @@ class InferenceServer:
         for start in range(0, len(contexts), size):
             chunk = contexts[start : start + size]
             self._serve_contexts(model_id, chunk, parents=parents[start : start + size])
+            with self._ready:
+                self._held_rows -= len(chunk)
             for future, context in zip(futures[start : start + size], chunk):
                 if context.error is not None:
                     future.set_exception(context.error)
@@ -462,7 +463,7 @@ class InferenceServer:
                     future.set_result(context.response)
 
     # ------------------------------------------------------------------
-    # The one pipeline both modes share
+    # The one pipeline every request takes
     # ------------------------------------------------------------------
     def _serve_contexts(
         self,
@@ -481,18 +482,11 @@ class InferenceServer:
         stages); requests a middleware answered (cache hits) appear only in
         the stages (``request.total`` / ``request.cache_hit``).  Served
         latencies are each context's ``timings["total"]``.  An empty chain
-        skips the hook plumbing entirely — the common unconfigured server
-        keeps the bare hot path.
+        runs too: its only cost is the timing it records.
         """
         stats = self._model_stats(model_id)
         spans = self._open_request_spans(model_id, contexts, parents)
-        # One read: a concurrent swap_middleware must not hand the emptiness
-        # check and the execution below two different chains.
         chain = self.middleware
-        if not chain:
-            self._serve_direct(model_id, stats, contexts)
-            self._close_request_spans(contexts, spans)
-            return
         for context in contexts:
             context.stats = stats
         ran: List[RequestContext] = []
@@ -558,21 +552,3 @@ class InferenceServer:
             return
         for context, span in zip(contexts, spans):
             span.end(error=context.error)
-
-    def _serve_direct(
-        self, model_id: str, stats: ModelStats, contexts: List[RequestContext]
-    ) -> None:
-        """The middleware-free hot path: one registry lookup, one batch run."""
-        try:
-            model = self.registry.get(model_id)
-            outputs = self.batcher.run_batch(model, [context.sample for context in contexts])
-        except Exception as error:  # noqa: BLE001 - failures propagate per request
-            stats.record_error(len(contexts))
-            for context in contexts:
-                context.error = error
-            return
-        now = time.perf_counter()
-        latencies = [now - context.created_at for context in contexts]
-        stats.record_batch(len(contexts), self.batcher.padded_size(len(contexts)), latencies)
-        for context, output in zip(contexts, outputs):
-            context.response = output

@@ -81,7 +81,10 @@ class TestProxyRoundTrips:
         data, job, router, _ = served_cluster_job
         samples = list(data.train.samples[:6])
         # Identical proxies (same seeds) so both paths augment identically.
-        cluster_outputs = ExtractionProxy(job.secrets).predict_batch(router, "lenet-aug", samples)
+        with router:
+            cluster_outputs = ExtractionProxy(job.secrets).predict_batch(
+                router, "lenet-aug", samples
+            )
         single_outputs = ExtractionProxy(job.secrets).predict_batch(
             self._reference(data, job), "lenet-aug", samples
         )
@@ -124,7 +127,8 @@ class TestProxyRoundTrips:
     def test_cluster_sees_only_augmented_widths(self, served_cluster_job):
         data, job, router, _ = served_cluster_job
         proxy = ExtractionProxy(job.secrets)
-        proxy.predict(router, "lenet-aug", data.train.samples[0])
+        with router:
+            proxy.predict(router, "lenet-aug", data.train.samples[0])
         plan = job.secrets.dataset_plan
         for replica_id in router.replica_ids():
             validator_shape = (

@@ -4,11 +4,11 @@ membership changes, cluster-wide middleware, cross-replica stats merging."""
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.cloud import pack_model
 from repro.models import model_factory
 from repro.serve import (
     Batcher,
@@ -115,7 +115,8 @@ class TestSyncServing:
     def test_predict_batch_matches_single_server(self, images, reference_outputs):
         router = make_router()
         register_lenet(router)
-        outputs = router.predict_batch("lenet", list(images))
+        with router:
+            outputs = router.predict_batch("lenet", list(images))
         for output, expected in zip(outputs, reference_outputs):
             np.testing.assert_array_equal(output, expected)
 
@@ -123,12 +124,14 @@ class TestSyncServing:
         router = make_router()
         register_lenet(router)
         primary = router.shard_map()["lenet"][0]
-        # Freshen the health view first: the router still believes the primary
-        # is routable when it dies, so the dispatch genuinely attempts it and
-        # must fail over (a stale view would dodge the kill via check_health).
-        router.check_health()
-        router.replica(primary).kill()
-        outputs = router.predict_batch("lenet", list(images))
+        with router:
+            # Freshen the health view first: the router still believes the
+            # primary is routable when it dies, so the dispatch genuinely
+            # attempts it and must fail over (a stale view would dodge the
+            # kill via check_health).
+            router.check_health()
+            router.replica(primary).kill()
+            outputs = router.predict_batch("lenet", list(images))
         for output, expected in zip(outputs, reference_outputs):
             np.testing.assert_array_equal(output, expected)
         assert router.stats()["router"]["failovers"] >= 1
@@ -139,28 +142,45 @@ class TestSyncServing:
         router = make_router(placement=LeastLoadedPolicy(), max_retries=2)
         register_lenet(router)
         router.replica("r0").registry.unregister("lenet")  # simulate a misroute
-        for _ in range(4):  # whoever is tried first, an owner answers
-            outputs = router.predict_batch("lenet", list(images[:2]))
-            np.testing.assert_array_equal(outputs[0], reference_outputs[0])
+        with router:
+            for _ in range(4):  # whoever is tried first, an owner answers
+                outputs = router.predict_batch("lenet", list(images[:2]))
+                np.testing.assert_array_equal(outputs[0], reference_outputs[0])
         health = router.health.snapshot()
         assert all(record["state"] == "healthy" for record in health.values())
 
     def test_all_replicas_dead_raises_typed_errors(self, images):
         router = make_router(replica_ids=("r0", "r1"))
         register_lenet(router)
-        router.check_health()  # believe both healthy, then kill them
-        for replica_id in router.replica_ids():
-            router.replica(replica_id).kill()
-        with pytest.raises(FailoverExhausted):
-            router.predict("lenet", images[0])
-        router.check_health()  # monitor now knows both are gone
-        with pytest.raises(NoHealthyReplica):
-            router.predict("lenet", images[0])
+        with router:
+            router.check_health()  # believe both healthy, then kill them
+            for replica_id in router.replica_ids():
+                router.replica(replica_id).kill()
+            with pytest.raises(FailoverExhausted):
+                router.predict("lenet", images[0])
+            router.check_health()  # monitor now knows both are gone
+            with pytest.raises(NoHealthyReplica):
+                router.predict("lenet", images[0])
+
+    def test_back_to_back_lone_caller_never_waits_out_max_wait(self, images):
+        router = ClusterRouter(
+            [make_replica(rid, max_wait=0.2) for rid in ("r0", "r1")],
+            placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES),
+        )
+        register_lenet(router)
+        with router:
+            router.predict("lenet", images[0])  # build the model outside the clock
+            for round_index in range(2):  # the first round settles the gap average
+                began = time.perf_counter()
+                for index in range(20):
+                    router.predict("lenet", images[index % len(images)])
+                # Waiting out max_wait each time would take 20 x 0.2 = 4 s.
+                assert time.perf_counter() - began < 1.0, f"round {round_index}"
 
     def test_expired_deadline_sheds_before_compute(self, images):
         router = make_router()
         register_lenet(router)
-        with pytest.raises(DeadlineExceeded):
+        with router, pytest.raises(DeadlineExceeded):
             router.predict("lenet", images[0], deadline=-0.1)
         stats = router.stats()
         assert stats["router"]["shed"] == 1
@@ -298,12 +318,14 @@ class TestConcurrentServing:
     def test_submit_lifecycle_errors_are_typed(self, images):
         router = make_router()
         register_lenet(router)
-        with pytest.raises(RuntimeError, match="start\\(\\)"):
-            router.submit("lenet", images[0])
+        for call in (router.submit, router.predict):
+            with pytest.raises(RuntimeError, match="start\\(\\)"):
+                call("lenet", images[0])
         router.start()
         router.stop()
-        with pytest.raises(ServerStopped, match="stopped"):
-            router.submit("lenet", images[0])
+        for call in (router.submit, router.predict):
+            with pytest.raises(ServerStopped, match="stopped"):
+                call("lenet", images[0])
 
     def test_submit_racing_a_full_stop_still_resolves_the_future(self, images):
         """Regression: submit()'s lifecycle check and its enqueue are not one
@@ -366,7 +388,8 @@ class TestMembership:
         assert removed.draining
         assert victim not in router.replica_ids()
         assert len(router.shard_map()["lenet"]) == 2  # re-homed to survivors
-        assert router.predict("lenet", images[0]).shape == (10,)
+        with router:
+            assert router.predict("lenet", images[0]).shape == (10,)
 
     def test_duplicate_join_raises(self):
         router = make_router()
@@ -403,10 +426,11 @@ class TestClusterMiddleware:
         limiter = RateLimiter(rate=1.0, capacity=2, clock=lambda: 0.0)
         router = make_router(middleware=[limiter])
         register_lenet(router)
-        router.predict("lenet", images[0])
-        router.predict("lenet", images[1])
-        with pytest.raises(RateLimitExceeded):
-            router.predict("lenet", images[2])
+        with router:
+            router.predict("lenet", images[0])
+            router.predict("lenet", images[1])
+            with pytest.raises(RateLimitExceeded):
+                router.predict("lenet", images[2])
         assert limiter.stats() == {"admitted": 2, "rejected": 1, "buckets": 1, "pruned": 0}
 
     @pytest.mark.parametrize("telemetry_first", [True, False])
@@ -424,7 +448,10 @@ class TestClusterMiddleware:
             with pytest.raises(RateLimitExceeded):
                 rejected.result(timeout=10)
         stages = router.stats()["models"]["lenet"]["stages"]
-        assert stages["request.total"]["count"] == 2
+        # The merged view sums both scopes: the cluster chain saw both
+        # requests, the serving replica's (empty) chain the admitted one.
+        assert stages["request.total"]["count"] == 2 + 1
+        assert stages["model"]["count"] == 1
         assert stages["request.error"]["count"] == 1
 
 
@@ -469,10 +496,11 @@ class TestStatsMerging:
     def test_cluster_stats_aggregate_across_replicas(self, images):
         router = make_router()
         register_lenet(router)
-        router.predict_batch("lenet", list(images))
-        primary = router.shard_map()["lenet"][0]
-        router.replica(primary).kill()
-        router.predict_batch("lenet", list(images))  # served by the other owner
+        with router:
+            router.predict_batch("lenet", list(images))
+            primary = router.shard_map()["lenet"][0]
+            router.replica(primary).kill()
+            router.predict_batch("lenet", list(images))  # served by the other owner
         merged = router.stats(model_id="lenet")
         assert merged["requests"] == 2 * len(images)
         per_replica = [
@@ -487,7 +515,8 @@ class TestStatsMerging:
     def test_full_snapshot_shape(self, images):
         router = make_router()
         register_lenet(router)
-        router.predict("lenet", images[0])
+        with router:
+            router.predict("lenet", images[0])
         snapshot = router.stats()
         assert set(snapshot) == {
             "models",

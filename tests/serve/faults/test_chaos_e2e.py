@@ -146,6 +146,7 @@ class TestComposedChaos:
         # noise-draw order matches submit's one-augment-per-request pattern.
         reference_router = make_faulty_cluster(FaultInjector())
         CloudSession.publish(job, reference_router, "lenet-aug")
+        reference_router.start()
         reference_proxy = ExtractionProxy(job.secrets)
         expected = [
             reference_proxy.predict(reference_router, "lenet-aug", sample)

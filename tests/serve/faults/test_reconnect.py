@@ -262,6 +262,7 @@ class TestProxyOverFaultyLoopback:
             admission=AdmissionScheduler(),
         )
         CloudSession.publish(job, router, "lenet-aug")
+        router.start()
         reference_proxy = ExtractionProxy(job.secrets)
         expected = [reference_proxy.predict(router, "lenet-aug", sample) for sample in raw]
 

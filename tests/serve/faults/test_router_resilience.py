@@ -48,48 +48,33 @@ def images() -> np.ndarray:
 
 
 class TestRetryPacing:
-    def test_sync_failover_paces_through_the_policy_sleep(self, images):
+    def test_failover_paces_through_the_policy_sleep(self, images):
         slept = []
         policy = RetryPolicy(base_delay=0.01, multiplier=2.0, jitter=False, sleep=slept.append)
         faults = FaultInjector(FaultPlan().crash_replica("r0").crash_replica("r1"))
         router = make_router(retry=policy, faults=faults, max_retries=3)
         register_lenet(router)
-        outputs = router.predict_batch("lenet", list(images))
+        with router:
+            outputs = [router.predict("lenet", image) for image in images]
         assert len(outputs) == len(images)
         # Both crash-capable replicas may or may not be hit first depending on
-        # placement, but every retryable failure paid one paced delay.
+        # placement, but with one row per dispatch every retryable failure
+        # paid exactly one paced delay before its re-dispatch.
         stats = router.failover_stats()
         failures = sum(entry["failures"] for entry in stats["per_replica"].values())
         assert failures >= 1
         assert len(slept) == failures
-        assert stats["backoff_seconds"] == pytest.approx(sum(slept))
-        router.stop()
-
-    def test_async_failover_paces_between_redispatches(self, images):
-        slept = []
-        policy = RetryPolicy(base_delay=0.01, multiplier=2.0, jitter=False, sleep=slept.append)
-        faults = FaultInjector(FaultPlan().crash_replica("r0"))
-        router = make_router(retry=policy, faults=faults, max_retries=3)
-        register_lenet(router)
-        with router:
-            futures = [router.submit("lenet", image) for image in images]
-            results = [future.result(timeout=30) for future in futures]
-        assert len(results) == len(images)
-        stats = router.failover_stats()
-        failures = sum(entry["failures"] for entry in stats["per_replica"].values())
-        if failures:  # placement may have routed everything around r0
-            assert slept, "paced delays accompany failovers"
         assert stats["backoff_seconds"] == pytest.approx(sum(slept))
 
     def test_no_policy_means_immediate_retry(self, images):
         faults = FaultInjector(FaultPlan().crash_replica("r0"))
         router = make_router(faults=faults)
         register_lenet(router)
-        outputs = router.predict_batch("lenet", list(images))
+        with router:
+            outputs = router.predict_batch("lenet", list(images))
         assert len(outputs) == len(images)
         assert router.failover_stats()["backoff_seconds"] == 0.0
         assert router.failover_stats()["retry_policy"] is None
-        router.stop()
 
 
 class TestFailoverStats:
@@ -97,13 +82,14 @@ class TestFailoverStats:
         faults = FaultInjector(FaultPlan().crash_replica("r0", on_request=1))
         router = make_router(faults=faults)
         register_lenet(router)
-        router.predict_batch("lenet", list(images))
+        with router:
+            router.predict_batch("lenet", list(images))
         section = router.stats()["failover"]
         attempts = sum(entry["attempts"] for entry in section["per_replica"].values())
         failures = sum(entry["failures"] for entry in section["per_replica"].values())
         assert attempts >= 1
-        assert attempts == failures + 1, "one batch: N failed dispatches + 1 success"
-        router.stop()
+        # Counted per row: N failed dispatches of the batch + 1 success.
+        assert attempts == failures + len(images), "one batch: N failed dispatches + 1 success"
 
     def test_breaker_state_rides_in_failover_stats(self, images):
         health = HealthMonitor(
@@ -114,7 +100,8 @@ class TestFailoverStats:
         faults = FaultInjector(FaultPlan().crash_replica("r0", on_request=1))
         router = make_router(health=health, faults=faults, max_retries=3)
         register_lenet(router)
-        router.predict_batch("lenet", list(images))
+        with router:
+            router.predict_batch("lenet", list(images))
         section = router.stats()["failover"]
         states = {
             replica_id: entry.get("breaker_state")
@@ -123,7 +110,6 @@ class TestFailoverStats:
         assert all(state is not None for state in states.values())
         crashed = [entry for entry in section["per_replica"].values() if entry["failures"]]
         assert crashed and all(entry["breaker_trips"] >= 1 for entry in crashed)
-        router.stop()
 
     def test_middleware_context_sees_failover_attempts(self, images):
         from repro.serve import ServeMiddleware
@@ -164,22 +150,21 @@ class TestBreakerBoundsAttempts:
         )
         router = make_router(health=health, faults=faults, max_retries=3)
         register_lenet(router)
-        for image in images:
-            router.predict("lenet", image)
-        for image in images:
-            router.predict("lenet", image)
+        with router:
+            for image in images:
+                router.predict("lenet", image)
+            for image in images:
+                router.predict("lenet", image)
         stats = router.failover_stats()["per_replica"]
         flappy = stats.get("r0", {"attempts": 0})
         assert flappy["attempts"] <= 3, (
             f"breaker must cap attempts against the flapping replica, saw {flappy}"
         )
         assert router.health.breaker("r0").trips >= 1 or flappy["attempts"] == 0
-        router.stop()
 
     def test_exhausted_failover_is_typed(self, images):
         faults = FaultInjector(FaultPlan().fail_replica(times=-1))  # every replica
         router = make_router(faults=faults, max_retries=2)
         register_lenet(router)
-        with pytest.raises(FailoverExhausted):
+        with router, pytest.raises(FailoverExhausted):
             router.predict("lenet", images[0])
-        router.stop()

@@ -73,7 +73,8 @@ class TestByteIdentityOverLoopback:
         router = make_cluster()
         CloudSession.publish(job, router, "lenet-aug")
 
-        # In-process reference: sync path on the same (not yet started) cluster.
+        # In-process reference: predict on the same cluster.
+        router.start()
         in_process_proxy = ExtractionProxy(job.secrets)
         expected = in_process_proxy.predict_batch(router, "lenet-aug", raw)
         before = router.stats()["router"]
@@ -165,6 +166,7 @@ class TestByteIdentityOverLoopback:
         raw = [np.asarray(sample) for sample in data.validation.samples[:4]]
         router = make_cluster()
         CloudSession.publish(job, router, "lenet-aug")
+        router.start()
         # Per-sample reference calls so the noise-draw order matches submit's
         # one-augment-per-request pattern on the remote side.
         reference_proxy = ExtractionProxy(job.secrets)

@@ -23,8 +23,6 @@ from repro.serve import (
 )
 from repro.serve.observability.slo import BurnRateRule, LatencyObjective
 
-from .conftest import EchoBackend
-
 
 def wait_until(condition, timeout: float = 5.0, interval: float = 0.01):
     deadline = time.monotonic() + timeout

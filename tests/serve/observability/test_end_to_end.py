@@ -206,14 +206,15 @@ class TestFailureTraces:
         tracer = Tracer(sample_rate=0.0, rng=random.Random(7))
         router = make_traced_cluster(tracer)
         register_lenet(router)
-        router.check_health()
-        for replica_id in router.replica_ids():
-            router.replica(replica_id).kill()
-        with pytest.raises(FailoverExhausted):
-            router.predict("lenet", sample)
+        with router:
+            router.check_health()
+            for replica_id in router.replica_ids():
+                router.replica(replica_id).kill()
+            with pytest.raises(FailoverExhausted):
+                router.predict("lenet", sample)
         retained = tracer.recent_spans()
         assert retained, "error spans must be retained with sampling off"
         assert all(span["error"] is not None for span in retained)
         assert all(not span["sampled"] for span in retained)
         names = {span["name"] for span in retained}
-        assert "router.predict" in names and "router.dispatch" in names
+        assert "router.submit" in names and "router.dispatch" in names

@@ -240,6 +240,20 @@ class TestConcurrentMode:
                 assert time.perf_counter() - began < 0.1
                 time.sleep(0.25)  # spaced arrivals predict nothing within max_wait
 
+    def test_back_to_back_lone_caller_never_waits_out_max_wait(self, registry, images):
+        """A caller that sends each request as soon as the last one returns
+        finds the server idle every time: no request waits for a successor
+        that cannot arrive before it is answered."""
+        server = InferenceServer(registry, Batcher(max_batch_size=8, max_wait=0.2), num_workers=1)
+        with server:
+            server.predict("lenet", images[0])  # build the model outside the clock
+            for round_index in range(2):  # the first round settles the gap average
+                began = time.perf_counter()
+                for index in range(20):
+                    server.submit("lenet", images[index % len(images)]).result(timeout=30)
+                # Waiting out max_wait each time would take 20 x 0.2 = 4 s.
+                assert time.perf_counter() - began < 1.0, f"round {round_index}"
+
     def test_mixed_submit_and_submit_many_hammer_keeps_the_row_ledger(self, images):
         """More threads than cores mix ``submit`` and ``submit_many`` against
         several workers under a short switch interval: every row resolves to

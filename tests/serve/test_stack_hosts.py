@@ -142,8 +142,9 @@ class TestByteParityAcrossHosts:
 
         declared = make_router(build_dispatcher(TOML))
         imperative = make_router(imperative_premium())
-        got = declared.predict_batch("lenet", samples, tenant="acme")
-        want = imperative.predict_batch("lenet", samples, tenant="acme")
+        with declared, imperative:
+            got = declared.predict_batch("lenet", samples, tenant="acme")
+            want = imperative.predict_batch("lenet", samples, tenant="acme")
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -161,7 +162,8 @@ class TestByteParityAcrossHosts:
         assert chains[0] is not chains[1]
         for replica_id, chain in replica_chains.items():
             assert router.replica(replica_id).server.middleware is chain
-        got = router.predict_batch("lenet", samples[:4], tenant="acme")
+        with router:
+            got = router.predict_batch("lenet", samples[:4], tenant="acme")
         want = InferenceServer(make_registry(), full_batcher()).predict_batch(
             "lenet", samples[:4]
         )
