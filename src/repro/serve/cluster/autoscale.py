@@ -71,7 +71,7 @@ class Observation:
     replica_count: int
     queue_depth: int  #: requests waiting in the admission queue
     in_flight: int  #: requests queued or executing on replicas
-    p95_ms: float  #: worst per-model merged p95 latency
+    p95_ms: float  #: worst per-model windowed p95 latency (0 once the window empties)
     batch_fill: float  #: mean batch-fill ratio across models (0 when idle)
     failovers: int  #: cumulative router failover count
     shed: int  #: cumulative deadline-shed count
@@ -230,18 +230,11 @@ class LatencyTargetPolicy(HysteresisPolicy):
     """Scale to hold the worst per-model p95 under an SLA target.
 
     Scale-up triggers when p95 exceeds ``target_p95_ms``; scale-down when it
-    sits below ``target_p95_ms * scale_down_fraction``.  By default the p95
-    comes from the router's rolling latency window, which only decays as
-    *new* requests displace old samples — so on an idle cluster the signal
-    is treated as zero (no traffic means no latency to violate), letting the
-    topology drain back after a spike instead of pinning at its peak.
-
-    Alternatively, ``p95_source`` plugs in a *windowed* percentile — e.g.
-    ``lambda: store.quantile("gateway.latency_ms", 0.95, window=60.0)`` over
-    a :class:`~repro.serve.observability.WindowedSeriesStore` — whose value
-    ages out by wall clock rather than by displacement, so the backlog gate
-    is unnecessary: the source returns ``None`` once the window empties and
-    the policy reads that as zero.
+    sits below ``target_p95_ms * scale_down_fraction``.  The p95 is the
+    router's, read over a wall-clock window
+    (:data:`~repro.serve.stats.LATENCY_WINDOW`): once a spike's samples age
+    out of it, or an idle cluster's window empties to 0, the topology
+    drains back instead of pinning at its peak.
     """
 
     name = "latency_target"
@@ -254,7 +247,6 @@ class LatencyTargetPolicy(HysteresisPolicy):
         breach_count: int = 2,
         cooldown: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
-        p95_source: Optional[Callable[[], Optional[float]]] = None,
     ) -> None:
         if target_p95_ms <= 0:
             raise ValueError("target_p95_ms must be > 0")
@@ -262,7 +254,6 @@ class LatencyTargetPolicy(HysteresisPolicy):
             raise ValueError("scale_down_fraction must be in (0, 1)")
         self.target_p95_ms = float(target_p95_ms)
         self.scale_down_fraction = float(scale_down_fraction)
-        self.p95_source = p95_source
         super().__init__(
             high=target_p95_ms,
             low=target_p95_ms * scale_down_fraction,
@@ -272,18 +263,12 @@ class LatencyTargetPolicy(HysteresisPolicy):
         )
 
     def signal(self, observation: Observation) -> float:
-        if self.p95_source is not None:
-            value = self.p95_source()
-            return 0.0 if value is None else float(value)
-        if observation.backlog == 0:
-            return 0.0  # idle: the stale window must not hold replicas alive
         return observation.p95_ms
 
     def describe(self) -> Dict[str, object]:
         described = super().describe()
         described["target_p95_ms"] = self.target_p95_ms
         described["scale_down_fraction"] = self.scale_down_fraction
-        described["p95_source"] = "windowed" if self.p95_source is not None else "router"
         return described
 
 

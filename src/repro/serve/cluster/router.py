@@ -31,6 +31,8 @@ failover, breaker probes, backoff and deadline shedding have one
 implementation.  Middleware composes at two scopes: the router's chain sees
 every request once, cluster-wide (one shared ``RateLimiter`` enforces a
 global tenant budget); each replica's chain sees only its shard's traffic.
+The router's chain runs even when empty, so its record holds every request's
+outcome once and ``stats()`` takes outcomes from it alone.
 
 Trust boundary: the router is a *server-side* component and holds only what
 every replica holds — augmented bundles and architecture factories.  Sharding
@@ -75,13 +77,10 @@ _HEALTH_FAILURES = (ReplicaUnavailable, ServerStopped, ServerOverloaded)
 
 @dataclass
 class _ClusterRequest:
-    """Router-side state for one row."""
+    """Router-side state for one row: its cluster-chain context and future."""
 
-    model_id: str
-    sample: np.ndarray
-    tenant: str
+    context: RequestContext
     future: Future
-    context: Optional[RequestContext] = None
     entered: Sequence[object] = ()
     #: Replicas tried so far: the ``tried`` list of the dispatch carrying
     #: this row (one shared list object), empty when the chain answered it.
@@ -525,7 +524,7 @@ class ClusterRouter:
         rows the chain answers resolve at once.  The surviving rows share one
         admission entry, one replica dispatch per attempt and one server
         queue item.  ``traces`` gives each row its parent trace context.
-        With no cluster chain, a full admission queue raises
+        With an empty cluster chain, a full admission queue raises
         :class:`ServerOverloaded` before any row is queued.
         """
         with self._lifecycle_lock:
@@ -536,42 +535,34 @@ class ClusterRouter:
                     )
                 raise RuntimeError("cluster is not started; call start() first")
         absolute = None if deadline is None else self._clock() + float(deadline)
-        rows = [
-            _ClusterRequest(
-                model_id=model_id, sample=np.asarray(sample), tenant=tenant, future=Future()
+        stats = self._model_stats(model_id)
+        chain = self.middleware
+        rows: List[_ClusterRequest] = []
+        pending: List[_ClusterRequest] = []
+        for index, sample in enumerate(samples):
+            context = RequestContext(
+                model_id=model_id,
+                sample=np.asarray(sample),
+                tenant=tenant,
+                source="cluster",
+                deadline=absolute,
             )
-            for sample in samples
-        ]
-        futures = [row.future for row in rows]
-        if self.tracer is not None:
-            for index, row in enumerate(rows):
-                row.span = self.tracer.start_span(
+            context.stats = stats
+            row = _ClusterRequest(context=context, future=Future())
+            rows.append(row)
+            if self.tracer is not None:
+                row.span = context.trace = self.tracer.start_span(
                     "router.submit",
                     parent=None if traces is None else traces[index],
                     attributes={"model_id": model_id, "tenant": tenant},
                 )
-        pending = rows
-        chain = self.middleware
-        if chain:
-            stats = self._model_stats(model_id)
-            pending = []
-            for row in rows:
-                context = RequestContext(
-                    model_id=model_id,
-                    sample=row.sample,
-                    tenant=tenant,
-                    source="cluster",
-                    deadline=absolute,
-                )
-                context.stats = stats
-                context.trace = row.span
-                row.context = context
-                row.entered = chain.enter(context)
-                if context.answered:  # short-circuited or rejected cluster-wide
-                    self._count("failed" if context.error is not None else "completed")
-                    self._finish(row)
-                else:
-                    pending.append(row)
+            row.entered = chain.enter(context)
+            if context.answered:  # short-circuited or rejected cluster-wide
+                self._count("failed" if context.error is not None else "completed")
+                self._finish(row)
+            else:
+                pending.append(row)
+        futures = [row.future for row in rows]
         if not pending:
             return futures
         unit = _Dispatch(model_id=model_id, tenant=tenant, rows=pending)
@@ -649,7 +640,7 @@ class ClusterRouter:
             None if row.span is None else row.span.child("router.dispatch", attributes=attributes)
             for row in rows
         ]
-        samples = [row.sample for row in rows]
+        samples = [row.context.sample for row in rows]
         try:
             # Pass the traces kwarg only when tracing so duck-typed replica
             # wrappers with the untraced signature keep working.
@@ -684,7 +675,7 @@ class ClusterRouter:
                 self.health.record_success(replica.replica_id)
                 self._succeed(rows[index], done.result())
             elif not isinstance(error, _RETRYABLE):
-                self._fail(rows[index], error, record=False)  # the replica counted it
+                self._fail(rows[index], error)
             with lock:
                 if isinstance(error, _RETRYABLE):
                     retryable[index] = error
@@ -763,56 +754,36 @@ class ClusterRouter:
             self._count("shed")
             self._fail(
                 row,
-                DeadlineExceeded(row.model_id, row.tenant, ticket.deadline, self._clock()),
+                DeadlineExceeded(unit.model_id, unit.tenant, ticket.deadline, self._clock()),
                 count_failed=False,
             )
 
     def _succeed(self, request: _ClusterRequest, result: object) -> None:
         self._count("completed")
-        if request.context is not None:
-            request.context.response = result
-        self._finish(request, result=result)
+        request.context.response = result
+        self._finish(request)
 
     def _fail(
-        self,
-        request: _ClusterRequest,
-        error: BaseException,
-        count_failed: bool = True,
-        record: bool = True,
+        self, request: _ClusterRequest, error: BaseException, count_failed: bool = True
     ) -> None:
-        """Resolve ``request`` as failed.
-
-        ``record=False`` skips the router-level ``ModelStats`` error: a
-        non-retryable error *returned by a replica* was already counted by
-        that replica's server, and the merged view sums both scopes — routing
-        failures the replicas never saw (shed, no-healthy, rejections) are
-        what the router records.
-        """
         if count_failed:
             self._count("failed")
-        if record:
-            self._model_stats(request.model_id).record_error()
-        if request.context is not None:
-            request.context.error = error
-        self._finish(request, error=error)
+        request.context.error = error
+        self._finish(request)
 
-    def _finish(
-        self,
-        request: _ClusterRequest,
-        result: object = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """Unwind the cluster chain (if entered) and resolve the caller's future."""
+    def _finish(self, request: _ClusterRequest) -> None:
+        """Unwind the cluster chain, record the outcome once (wherever the
+        request failed) and resolve the caller's future."""
         context = request.context
-        if context is not None:
-            # Middleware observability: how many replicas this request touched
-            # (0 = answered by the chain, 1 = no failover, >1 = failed over).
-            context.metadata["failover_attempts"] = len(request.tried)
-            self.middleware.exit(context, request.entered)
-            # on_error may have recovered (or on_response raised): trust the
-            # context's final word over our original outcome.
-            error = context.error
-            result = context.response
+        # Middleware observability: how many replicas this request touched
+        # (0 = answered by the chain, 1 = no failover, >1 = failed over).
+        context.metadata["failover_attempts"] = len(request.tried)
+        self.middleware.exit(context, request.entered)
+        # on_error may have recovered (or on_response raised): the context's
+        # final word is the outcome.
+        error = context.error
+        if error is not None:
+            context.stats.record_error()
         if request.span is not None:
             # Ending with the final error keeps failed requests' traces even
             # when head sampling dropped them (always-sample-on-error).
@@ -821,7 +792,7 @@ class ClusterRouter:
         if error is not None:
             request.future.set_exception(error)
         else:
-            request.future.set_result(result)
+            request.future.set_result(context.response)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -830,7 +801,7 @@ class ClusterRouter:
         with self._stats_lock:
             stats = self._stats.get(model_id)
             if stats is None:
-                stats = ModelStats(max_batch_size=1)
+                stats = ModelStats(max_batch_size=1, clock=self._clock)
                 self._stats[model_id] = stats
             return stats
 
@@ -937,12 +908,14 @@ class ClusterRouter:
         return None if autoscaler is None else autoscaler.stats()
 
     def stats(self, model_id: Optional[str] = None) -> Dict[str, object]:
-        """Cluster-wide view: merged per-model stats plus per-replica detail.
+        """Cluster-wide view: per-model stats plus per-replica detail.
 
-        Per-model numbers aggregate across replicas with
-        :meth:`ModelStats.merged` — counters sum, p50/p95 are read from the
-        sum of the per-replica latency histograms (averaging per-replica
-        percentiles would understate the tail).  The no-argument form
+        Per-model numbers are :meth:`ModelStats.cluster_view`: request
+        outcomes from the router's record, execution facts summed across
+        replicas, p50/p95 read from the union of the replicas' latency
+        windows (averaging per-replica percentiles would understate the
+        tail).  Each replica's own counts stay under
+        ``replicas[rid]["server"]["models"]``.  The no-argument form
         is a :meth:`MetricsRegistry.collect` view: each section is a named
         provider on :attr:`metrics`, so the historical shape is preserved
         while the registry remains the single source of truth.
@@ -960,6 +933,5 @@ class ClusterRouter:
             if stats is not None:
                 parts.append(stats)
         with self._stats_lock:
-            if model_id in self._stats:
-                parts.append(self._stats[model_id])
-        return ModelStats.merged(parts)
+            record = self._stats.get(model_id)
+        return ModelStats.cluster_view(record, parts)

@@ -7,8 +7,8 @@ ask.  One :class:`WindowedSeriesStore` keeps, per metric, a fixed-interval
 ring of buckets (constant memory, oldest evicted), with three aggregation
 kinds matching the three instrument shapes:
 
-* **counter** — per-bucket *increase* derived from the cumulative value
-  (resets detected), so :meth:`WindowedSeriesStore.rate` is a true
+* **counter** — per-bucket *increase*, the sum of the increments that
+  landed in it, so :meth:`WindowedSeriesStore.rate` is a true
   events-per-second over any window;
 * **gauge** — last value per bucket (:meth:`WindowedSeriesStore.last`);
 * **observation** (histogram samples) — one
@@ -53,15 +53,14 @@ class _Bucket:
 
 
 class _Series:
-    """The per-metric bucket ring plus counter-reset bookkeeping."""
+    """The per-metric bucket ring."""
 
-    __slots__ = ("name", "kind", "buckets", "last_cumulative")
+    __slots__ = ("name", "kind", "buckets")
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
         self.kind = kind
         self.buckets: Dict[int, _Bucket] = {}
-        self.last_cumulative: Optional[float] = None
 
 
 class WindowedSeriesStore:
@@ -70,7 +69,7 @@ class WindowedSeriesStore:
     ``interval`` seconds per bucket, ``buckets`` of retention (constant
     memory per series).  Thread-safe; the clock is injectable so tests roll
     buckets without sleeping.  Attach to a registry with :meth:`attach`, or
-    feed it directly via :meth:`record_counter` / :meth:`record_gauge` /
+    feed it directly via :meth:`record_counter_delta` / :meth:`record_gauge` /
     :meth:`record_observation`.
     """
 
@@ -116,28 +115,11 @@ class WindowedSeriesStore:
             raise KeyError(name)
         return series
 
-    def record_counter(self, name: str, cumulative: float) -> None:
-        """Record a counter's *cumulative* value; the bucket stores the delta."""
-        cumulative = float(cumulative)
-        with self._lock:
-            try:
-                series = self._get(name, COUNTER)
-            except KeyError:
-                return
-            last = series.last_cumulative
-            if last is None or cumulative < last:  # first sight, or a reset
-                delta = cumulative if last is None else cumulative
-            else:
-                delta = cumulative - last
-            series.last_cumulative = cumulative
-            self._bucket(series).increase += max(delta, 0.0)
-
     def record_counter_delta(self, name: str, amount: float) -> None:
         """Record one counter *increment* (the registry observer feed).
 
         Increments are commutative, so notifications arriving out of order
-        — they run outside instrument locks — still sum correctly, where
-        out-of-order cumulative values would trip reset detection.
+        — they run outside instrument locks — still sum correctly.
         """
         with self._lock:
             try:
@@ -213,24 +195,24 @@ class WindowedSeriesStore:
             newest = series.buckets[max(series.buckets)]
             return newest.value
 
-    def _window_histogram(self, name: str, window: Optional[float]) -> LatencyHistogram:
-        """The window's observation buckets merged into one histogram."""
+    def histogram(self, name: str, window: Optional[float] = None) -> LatencyHistogram:
+        """The window's observations merged into one (new) histogram; empty
+        for an unknown series or an empty window."""
         merged = LatencyHistogram()
-        series = self._series.get(name)
-        if series is not None and series.kind == OBSERVATION:
-            for bucket in self._window_buckets(series, window):
-                merged.merge(bucket.histogram)
+        with self._lock:
+            series = self._series.get(name)
+            if series is not None and series.kind == OBSERVATION:
+                for bucket in self._window_buckets(series, window):
+                    merged.merge(bucket.histogram)
         return merged
 
     def observation_count(self, name: str, window: Optional[float] = None) -> int:
-        with self._lock:
-            return self._window_histogram(name, window).count
+        return self.histogram(name, window).count
 
     def quantile(self, name: str, q: float, window: Optional[float] = None) -> Optional[float]:
         """Windowed quantile, exact to bucket resolution; None when the
         window holds no samples."""
-        with self._lock:
-            histogram = self._window_histogram(name, window)
+        histogram = self.histogram(name, window)
         return histogram.quantile(q) if histogram.count else None
 
     def fraction_above(
@@ -238,21 +220,27 @@ class WindowedSeriesStore:
     ) -> Optional[float]:
         """Fraction of windowed observations above ``threshold`` (the SLO
         "bad event" ratio for latency objectives); None without samples."""
-        with self._lock:
-            histogram = self._window_histogram(name, window)
+        histogram = self.histogram(name, window)
         return histogram.fraction_above(threshold) if histogram.count else None
 
-    def quantile_source(
-        self, name: str, q: float = 0.95, window: Optional[float] = None
-    ) -> Callable[[], Optional[float]]:
-        """A zero-arg closure over :meth:`quantile` — what
-        :class:`~repro.serve.cluster.autoscale.LatencyTargetPolicy` accepts
-        as its windowed ``p95_source``."""
-
-        def source() -> Optional[float]:
-            return self.quantile(name, q, window=window)
-
-        return source
+    def merge(self, other: "WindowedSeriesStore") -> "WindowedSeriesStore":
+        """Add ``other``'s retained observations into this store bucket by
+        bucket (returns self), so windowed reads answer for the union of both
+        windows.  Both stores share one ``interval``; merge into a store no
+        other thread merges from, as
+        :meth:`~repro.serve.stats.ModelStats.merged` does."""
+        with other._lock, self._lock:
+            for name, theirs in other._series.items():
+                if theirs.kind != OBSERVATION:
+                    continue
+                try:
+                    series = self._get(name, OBSERVATION)
+                except KeyError:
+                    continue
+                for index, bucket in theirs.buckets.items():
+                    mine = series.buckets.setdefault(index, _Bucket())
+                    mine.histogram = (mine.histogram or LatencyHistogram()).merge(bucket.histogram)
+        return self
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,18 +9,22 @@ server can expose them from a monitoring endpoint without holding locks long.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
-from .observability.metrics import LatencyHistogram
+from .observability.timeseries import WindowedSeriesStore
 
-#: Samples per latency generation: p50/p95 cover the last one or two
-#: generations, so old samples age out by displacement.
-GENERATION = 4096
+#: Seconds of latency history behind p50/p95, kept as one-second buckets: a
+#: sample ages out by wall clock, as the windowed SLO reads do, so an idle
+#: model's percentiles fall to 0 a minute after its last request.
+LATENCY_WINDOW = 60
 
 #: Stage buckets kept per model; the coldest is evicted past this, so stage
 #: names interpolated with unbounded ids cannot grow memory without bound.
 MAX_STAGES = 256
+
+_LATENCY = "latency"
 
 
 class ModelStats:
@@ -29,10 +33,10 @@ class ModelStats:
     ``batch_fill_ratio`` is the mean executed batch size divided by the
     batcher's ``max_batch_size`` — 1.0 means every batch left the queue full,
     values near ``1 / max_batch_size`` mean the scheduler is effectively
-    serving one request at a time.
+    serving one request at a time.  ``clock`` ages the latency window.
     """
 
-    def __init__(self, max_batch_size: int) -> None:
+    def __init__(self, max_batch_size: int, clock: Callable[[], float] = time.monotonic) -> None:
         self.max_batch_size = max_batch_size
         self.requests = 0
         self.batches = 0
@@ -41,8 +45,8 @@ class ModelStats:
         #: Stage buckets dropped because the key set outgrew ``MAX_STAGES``;
         #: nonzero means the breakdown in :meth:`stages` is partial.
         self.evicted_stages = 0
-        self._previous = LatencyHistogram()
-        self._latency = LatencyHistogram()
+        self._clock = clock
+        self._latency = WindowedSeriesStore(buckets=LATENCY_WINDOW, clock=clock)
         # stage name -> [count, total_seconds]; fed by the middleware
         # chain with each request's per-hook/model/total timings.  Ordered
         # least- to most-recently recorded so unbounded stage-key cardinality
@@ -57,9 +61,7 @@ class ModelStats:
             self.batches += 1
             self.padded_samples += padded_size
             for value in latencies:
-                if self._latency.count >= GENERATION:
-                    self._previous, self._latency = self._latency, LatencyHistogram()
-                self._latency.record(value)
+                self._latency.record_observation(_LATENCY, value)
 
     def record_error(self, count: int = 1) -> None:
         with self._lock:
@@ -69,13 +71,16 @@ class ModelStats:
     def merged(cls, parts: Iterable["ModelStats"]) -> "ModelStats":
         """Aggregate per-replica stats for one model into a cluster-wide view.
 
-        Counters sum; latency histograms merge by adding bucket counts, so
-        the merged p50/p95 are exactly those of the *union* of the replicas'
-        samples — averaging per-replica p95s would understate tail latency
+        Counters sum; latency windows merge by adding bucket counts, so the
+        merged p50/p95 are exactly those of the *union* of the replicas'
+        windows — averaging per-replica p95s would understate tail latency
         whenever replicas see different load.
         """
         parts = list(parts)
-        merged = cls(max((part.max_batch_size for part in parts), default=1))
+        merged = cls(
+            max((part.max_batch_size for part in parts), default=1),
+            clock=parts[0]._clock if parts else time.monotonic,
+        )
         for part in parts:
             with part._lock:
                 merged.requests += part.requests
@@ -83,16 +88,39 @@ class ModelStats:
                 merged.padded_samples += part.padded_samples
                 merged.errors += part.errors
                 merged.evicted_stages += part.evicted_stages
-                merged._latency.merge(part._previous).merge(part._latency)
+                merged._latency.merge(part._latency)
                 stages = {stage: list(bucket) for stage, bucket in part._stages.items()}
-            for stage, (count, total) in stages.items():
-                bucket = merged._stages.get(stage)
-                if bucket is None:
-                    merged._stages[stage] = [count, total]
-                else:
-                    bucket[0] += count
-                    bucket[1] += total
+            merged._add_stages(stages)
         return merged
+
+    @classmethod
+    def cluster_view(
+        cls, record: Optional["ModelStats"], replicas: Iterable["ModelStats"]
+    ) -> "ModelStats":
+        """One model across a cluster, each request counted once: outcomes
+        (``errors``, the ``request.*`` stages) from the router's ``record``,
+        execution facts (requests, batches, padding, latency, other stages)
+        from the merged ``replicas``, plus the router chain's hook stages."""
+        view = cls.merged(replicas)
+        view.errors = 0
+        for stage in [name for name in view._stages if name.startswith("request.")]:
+            del view._stages[stage]
+        if record is not None:
+            with record._lock:
+                view.errors = record.errors
+                view.evicted_stages += record.evicted_stages
+                stages = {stage: list(bucket) for stage, bucket in record._stages.items()}
+            view._add_stages(stages)
+        return view
+
+    def _add_stages(self, stages: Mapping[str, List[float]]) -> None:
+        for stage, (count, total) in stages.items():
+            bucket = self._stages.get(stage)
+            if bucket is None:
+                self._stages[stage] = [count, total]
+            else:
+                bucket[0] += count
+                bucket[1] += total
 
     def record_request(
         self, timings: Mapping[str, float], outcome: Optional[str] = None
@@ -124,25 +152,28 @@ class ModelStats:
     def stages(self) -> Dict[str, Dict[str, float]]:
         """Per-stage latency breakdown: count, total and mean milliseconds."""
         with self._lock:
-            return {
-                stage: {
-                    "count": int(count),
-                    "total_ms": round(total * 1e3, 4),
-                    "mean_ms": round(total / count * 1e3, 4) if count else 0.0,
-                }
-                for stage, (count, total) in self._stages.items()
+            return self._stage_view()
+
+    def _stage_view(self) -> Dict[str, Dict[str, float]]:
+        return {
+            stage: {
+                "count": int(count),
+                "total_ms": round(total * 1e3, 4),
+                "mean_ms": round(total / count * 1e3, 4) if count else 0.0,
             }
+            for stage, (count, total) in self._stages.items()
+        }
 
     def snapshot(self) -> Dict[str, float]:
-        """A point-in-time copy of the counters plus derived ratios."""
-        stages = self.stages()
+        """A point-in-time copy of the counters plus derived ratios, all read
+        under one lock acquisition so ``stages`` and the counters agree."""
         with self._lock:
             batches = self.batches
             requests = self.requests
             mean_batch = requests / batches if batches else 0.0
             fill = mean_batch / self.max_batch_size if self.max_batch_size else 0.0
             pad_overhead = self.padded_samples / requests if requests else 0.0
-            latency = LatencyHistogram().merge(self._previous).merge(self._latency)
+            latency = self._latency.histogram(_LATENCY)
             return {
                 "requests": requests,
                 "batches": batches,
@@ -153,5 +184,5 @@ class ModelStats:
                 "padding_overhead_x": round(pad_overhead, 3),
                 "p50_latency_ms": round(latency.quantile(0.5) * 1e3, 4),
                 "p95_latency_ms": round(latency.quantile(0.95) * 1e3, 4),
-                "stages": stages,
+                "stages": self._stage_view(),
             }

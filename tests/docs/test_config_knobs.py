@@ -5,8 +5,8 @@ table row and each built-in scaling policy's knobs in the "Built-in
 policies" bullet.  A constructor parameter a spec can set from TOML — one
 annotated with a TOML scalar type, optionally ``Optional`` — must appear in
 its name's row or bullet, so a new knob cannot ship undocumented.  Resource
-and code-only parameters (a ``registry``, a ``clock``, a bucket ``key``, a
-``p95_source`` callable) carry no scalar annotation and are exempt.
+and code-only parameters (a ``registry``, a ``clock``, a bucket ``key``)
+carry no scalar annotation and are exempt.
 """
 
 from __future__ import annotations

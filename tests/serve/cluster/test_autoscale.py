@@ -20,6 +20,7 @@ from repro.serve import (
     ClusterRouter,
     ConsistentHashPolicy,
     LatencyTargetPolicy,
+    ModelStats,
     QueueDepthPolicy,
     ReplicaWorker,
     autoscaler_from_spec,
@@ -36,6 +37,7 @@ from repro.serve.cluster.autoscale import (
     registered_scaling_policies,
 )
 from repro.serve.middleware.config import ConfigError, StackDefinitionError, spec_from_toml
+from repro.serve.stats import LATENCY_WINDOW
 
 from ..conftest import lenet_bundle
 
@@ -173,14 +175,33 @@ class TestLatencyTargetPolicy:
         assert policy.decide(slow).action == SCALE_UP
 
     def test_idle_cluster_reads_zero_latency(self):
-        # The rolling p95 window does not decay without traffic; an idle
-        # cluster must still scale down instead of pinning at its peak.
-        policy = LatencyTargetPolicy(
-            target_p95_ms=50.0, breach_count=1, cooldown=0, clock=FakeClock()
-        )
-        idle = make_observation(p95_ms=400.0, queue_depth=0, in_flight=0)
+        # The p95 window ages by wall clock: once the last slow request is a
+        # window old, the signal reads 0 and the topology drains back.
+        clock = FakeClock()
+        stats = ModelStats(max_batch_size=4, clock=clock)
+        stats.record_batch(4, 4, [0.4] * 4)
+        clock.advance(LATENCY_WINDOW)
+        policy = LatencyTargetPolicy(target_p95_ms=50.0, breach_count=1, cooldown=0, clock=clock)
+        idle = make_observation(p95_ms=stats.snapshot()["p95_latency_ms"])
         assert policy.signal(idle) == 0.0
         assert policy.decide(idle).action == SCALE_DOWN
+
+    def test_a_live_spike_fires_and_ages_out_by_clock(self):
+        clock = FakeClock()
+        stats = ModelStats(max_batch_size=4, clock=clock)
+        policy = LatencyTargetPolicy(target_p95_ms=50.0, breach_count=1, cooldown=0, clock=clock)
+
+        def busy() -> Observation:  # backlog stays high throughout
+            return make_observation(p95_ms=stats.snapshot()["p95_latency_ms"], in_flight=5)
+
+        stats.record_batch(40, 40, [0.2] * 40)
+        assert policy.signal(busy()) == 200.0
+        assert policy.decide(busy()).action == SCALE_UP
+        clock.advance(LATENCY_WINDOW - 1.0)
+        assert policy.signal(busy()) == 200.0  # still inside the window
+        clock.advance(1.0)  # no new traffic: the spike ages out on its own
+        assert policy.signal(busy()) == 0.0
+        assert policy.decide(busy()).action == SCALE_DOWN
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

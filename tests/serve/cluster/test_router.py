@@ -3,6 +3,7 @@ membership changes, cluster-wide middleware, cross-replica stats merging."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -447,12 +448,79 @@ class TestClusterMiddleware:
             rejected = router.submit("lenet", images[1])
             with pytest.raises(RateLimitExceeded):
                 rejected.result(timeout=10)
-        stages = router.stats()["models"]["lenet"]["stages"]
-        # The merged view sums both scopes: the cluster chain saw both
-        # requests, the serving replica's (empty) chain the admitted one.
-        assert stages["request.total"]["count"] == 2 + 1
-        assert stages["model"]["count"] == 1
-        assert stages["request.error"]["count"] == 1
+        model = router.stats()["models"]["lenet"]
+        # Each request counts once: outcomes come from the cluster chain,
+        # execution (the ``model`` stage) from the serving replica's chain.
+        assert model["stages"]["request.total"]["count"] == 2
+        assert model["stages"]["model"]["count"] == 1
+        assert model["stages"]["request.error"]["count"] == 1
+        assert model["errors"] == 1
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["bare", "stacked"])
+    def test_each_request_counts_once_under_concurrency(self, images, stacked):
+        """N rows from four threads (more than cores), some failing: the cluster view reads
+        ``request.total`` N and ``errors`` the failed rows whether only the
+        replicas run chains (bare) or the router and replicas both do, with
+        rejections at either scope; each replica keeps its own counts."""
+
+        def limiter(capacity: int) -> RateLimiter:
+            return RateLimiter(rate=1.0, capacity=capacity, clock=lambda: 0.0)
+
+        if stacked:
+            replicas = [make_replica(rid, middleware=[limiter(5)]) for rid in ("r0", "r1", "r2")]
+            router = ClusterRouter(
+                replicas,
+                middleware=[Telemetry(), limiter(16)],
+                placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES),
+            )
+        else:
+            router = make_router()
+        register_lenet(router)
+        threads_count, rounds = 4, 6
+        futures = []
+        lock = threading.Lock()
+
+        def client(thread_index: int) -> None:
+            for round_index in range(rounds):
+                # Every third row carries an expired deadline: shed, not run.
+                deadline = -1.0 if round_index % 3 == 2 else None
+                image = images[(thread_index + round_index) % len(images)]
+                future = router.submit("lenet", image, deadline=deadline)
+                with lock:
+                    futures.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' unwinds finely
+        try:
+            with router:
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(threads_count)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                failed = sum(future.exception(timeout=30) is not None for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads_count * rounds
+        assert len(futures) == total
+        assert 0 < failed < total
+        stats = router.stats()
+        model = stats["models"]["lenet"]
+        assert model["stages"]["request.total"]["count"] == total
+        assert model["stages"]["request.error"]["count"] == failed
+        assert model["errors"] == failed
+        assert model["requests"] == total - failed
+        served = [
+            replica["server"]["models"]["lenet"]
+            for replica in stats["replicas"].values()
+            if "lenet" in replica["server"]["models"]
+        ]
+        assert sum(snap["requests"] for snap in served) == total - failed
+        reached = sum(snap["stages"].get("request.total", {}).get("count", 0) for snap in served)
+        assert reached == total - failed + sum(snap["errors"] for snap in served)
 
 
     def test_batch_charges_equal_one_by_one_charges(self, images):

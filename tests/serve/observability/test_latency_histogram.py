@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import LatencyHistogram, ModelStats, WindowedSeriesStore
-from repro.serve.stats import GENERATION
+from repro.serve.stats import LATENCY_WINDOW
 
 RATIO = 2 ** (1 / 32)
 
@@ -105,41 +105,57 @@ def test_merged_model_stats_equal_one_stats_fed_the_union(parts):
     assert merged["p95_latency_ms"] == single["p95_latency_ms"]
 
 
-@given(
-    warmup=st.integers(min_value=0, max_value=3 * GENERATION),
-    burst=st.integers(min_value=1, max_value=500),
-)
-@settings(max_examples=25, deadline=None)
-def test_a_slow_burst_ages_out_after_two_generations_of_fast_samples(warmup, burst):
-    stats = ModelStats(max_batch_size=8)
-    stats.record_batch(warmup, warmup, [0.001] * warmup)
-    stats.record_batch(burst, burst, [1.0] * burst)
-    stats.record_batch(2 * GENERATION, 2 * GENERATION, [0.001] * (2 * GENERATION))
-    assert stats.snapshot()["p95_latency_ms"] == 1.0
-
-
-def test_merged_keeps_both_generations_of_each_part():
-    part = ModelStats(max_batch_size=8)
-    samples = [0.001 * (1 + index % 97) for index in range(GENERATION + 904)]
-    part.record_batch(len(samples), len(samples), samples)
-    merged = ModelStats.merged([part]).snapshot()
-    assert merged["p50_latency_ms"] == part.snapshot()["p50_latency_ms"]
-    assert merged["p95_latency_ms"] == part.snapshot()["p95_latency_ms"]
-
-
-def test_a_recent_slow_burst_moves_p95():
-    stats = ModelStats(max_batch_size=8)
-    stats.record_batch(GENERATION, GENERATION, [0.001] * GENERATION)
-    stats.record_batch(1000, 1000, [1.0] * 1000)
-    assert stats.snapshot()["p95_latency_ms"] == 1000.0
-
-
 class FakeClock:
     def __init__(self) -> None:
         self.now = 1000.0
 
     def __call__(self) -> float:
         return self.now
+
+
+@given(
+    warmup=st.integers(min_value=0, max_value=500),
+    burst=st.integers(min_value=1, max_value=500),
+    age=st.floats(min_value=0.0, max_value=LATENCY_WINDOW - 1.0),
+)
+@settings(max_examples=50, deadline=None)
+def test_a_slow_burst_ages_out_after_the_window(warmup, burst, age):
+    clock = FakeClock()
+    stats = ModelStats(max_batch_size=8, clock=clock)
+    stats.record_batch(warmup, warmup, [0.001] * warmup)
+    clock.now += age
+    stats.record_batch(burst, burst, [1.0] * burst)
+    clock.now += LATENCY_WINDOW
+    assert stats.snapshot()["p95_latency_ms"] == 0.0  # the window emptied
+    stats.record_batch(1, 1, [0.001])
+    assert stats.snapshot()["p95_latency_ms"] == 1.0
+
+
+def test_merged_keeps_each_parts_whole_window():
+    clock = FakeClock()
+    early, late, union = (ModelStats(max_batch_size=8, clock=clock) for _ in range(3))
+    for second in range(LATENCY_WINDOW):
+        samples = [0.001 * (1 + (second * 7 + index) % 97) for index in range(20)]
+        part = early if second < LATENCY_WINDOW // 2 else late
+        part.record_batch(len(samples), len(samples), samples)
+        union.record_batch(len(samples), len(samples), samples)
+        clock.now += 1.0
+    clock.now -= 1.0  # the last second's bucket is still current
+    merged = ModelStats.merged([early, late]).snapshot()
+    single = union.snapshot()
+    assert merged["p50_latency_ms"] == single["p50_latency_ms"] > 0
+    assert merged["p95_latency_ms"] == single["p95_latency_ms"]
+    alone = ModelStats.merged([early]).snapshot()
+    assert alone["p95_latency_ms"] == early.snapshot()["p95_latency_ms"]
+
+
+def test_a_recent_slow_burst_moves_p95():
+    clock = FakeClock()
+    stats = ModelStats(max_batch_size=8, clock=clock)
+    stats.record_batch(4096, 4096, [0.001] * 4096)
+    clock.now += LATENCY_WINDOW - 1.0
+    stats.record_batch(1000, 1000, [1.0] * 1000)
+    assert stats.snapshot()["p95_latency_ms"] == 1000.0
 
 
 @given(

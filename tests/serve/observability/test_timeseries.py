@@ -31,35 +31,27 @@ def store(clock: FakeClock) -> WindowedSeriesStore:
 
 
 class TestCounterSeries:
-    def test_increase_is_the_windowed_delta_of_a_cumulative_value(
+    def test_increase_sums_the_windowed_increments(
         self, store: WindowedSeriesStore, clock: FakeClock
     ):
-        store.record_counter("requests", 10)
+        store.on_counter("requests", 10)
         clock.advance(1.0)
-        store.record_counter("requests", 25)
+        store.on_counter("requests", 15)
         clock.advance(1.0)
-        store.record_counter("requests", 30)
+        store.on_counter("requests", 5)
         assert store.increase("requests") == pytest.approx(30.0)
         assert store.increase("requests", window=2.0) == pytest.approx(20.0)
 
     def test_rate_divides_by_the_window_span(self, store, clock):
-        store.record_counter("requests", 0)
         for _ in range(4):
             clock.advance(1.0)
-            store.record_counter("requests", store.increase("requests") + 5)
+            store.on_counter("requests", 5)
         assert store.rate("requests", window=4.0) == pytest.approx(5.0)
 
-    def test_counter_reset_is_not_a_negative_increase(self, store, clock):
-        store.record_counter("requests", 100)
-        clock.advance(1.0)
-        store.record_counter("requests", 3)  # process restarted
-        # The post-reset cumulative value is the new delta, never negative.
-        assert store.increase("requests", window=1.0) == pytest.approx(3.0)
-
     def test_old_buckets_age_out_of_the_window(self, store, clock):
-        store.record_counter("requests", 50)
+        store.on_counter("requests", 50)
         clock.advance(20.0)  # past the 10-bucket retention
-        store.record_counter("requests", 51)
+        store.on_counter("requests", 1)
         assert store.increase("requests") == pytest.approx(1.0)
 
     def test_unknown_series_is_zero(self, store):
@@ -110,15 +102,8 @@ class TestGaugeAndObservationSeries:
         assert store.quantile("latency", 0.95) is None
         assert store.fraction_above("latency", 1.0) is None
 
-    def test_quantile_source_closure_feeds_autoscaling(self, store):
-        source = store.quantile_source("latency", 0.95, window=5.0)
-        assert source() is None
-        for value in range(100):
-            store.record_observation("latency", float(value))
-        assert source() == pytest.approx(95.0, abs=4.0)
-
     def test_kind_collisions_are_counted_not_corrupting(self, store):
-        store.record_counter("metric", 5)
+        store.on_counter("metric", 5)
         store.record_observation("metric", 1.0)  # wrong kind: dropped
         store.record_gauge("metric", 2.0)  # wrong kind: dropped
         assert store.increase("metric") == pytest.approx(5.0)
@@ -179,18 +164,18 @@ class TestRegistryIntegration:
         for thread in threads:
             thread.join()
         assert counter.value == 4000
-        # Cumulative deltas may interleave, but the windowed total converges
-        # to the true count (no delta is lost or double-counted).
+        # Increments may arrive out of order, but the windowed total is the
+        # true count (no increment is lost or double-counted).
         assert store.increase("hits") == pytest.approx(4000.0)
 
 
 class TestSnapshotShape:
     def test_snapshot_is_json_shaped_history(self, store, clock):
-        store.record_counter("c", 5)
+        store.on_counter("c", 5)
         store.record_gauge("g", 1.5)
         store.record_observation("o", 3.0)
         clock.advance(1.0)
-        store.record_counter("c", 9)
+        store.on_counter("c", 4)
         snapshot = store.snapshot()
         assert set(snapshot["series"]) == {"c", "g", "o"}
         assert snapshot["series"]["c"]["kind"] == "counter"
