@@ -3,16 +3,18 @@
 The old shape read count, sum and bucket counts under separate lock
 acquisitions, so a snapshot taken during a concurrent ``observe`` could
 report ``sum``/``count`` that disagreed with its buckets.  ``snapshot()``
-now reads everything under one acquisition; these tests hammer it.
+now reads everything under one acquisition; these tests hammer it, and
+``ModelStats.snapshot()``'s stages-versus-counters read the same way.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro.serve import MetricsRegistry
+from repro.serve import MetricsRegistry, ModelStats
 from repro.serve.observability.metrics import Histogram
 
 
@@ -103,3 +105,43 @@ class TestCoherenceUnderConcurrency:
             thread.join()
         stop_timer.cancel()
         assert not errors, errors[:1]
+
+    def test_model_stats_snapshot_reads_stages_and_counters_together(self):
+        """Each writer round adds one request to the counters and then one
+        to ``stages``, so a coherent snapshot's ``request.total`` count trails
+        ``requests`` by at most the writers in flight; reading ``stages`` and
+        the counters under separate acquisitions lets the gap grow."""
+        stats = ModelStats(max_batch_size=1)
+        writers, rounds = 2, 4000
+        done = threading.Event()
+        gaps = []
+
+        def writer():
+            for _ in range(rounds):
+                stats.record_batch(1, 1, [0.001])
+                stats.record_request({"total": 0.001})
+
+        def reader():
+            while not done.is_set():
+                snapshot = stats.snapshot()
+                counted = snapshot["stages"].get("request.total", {}).get("count", 0)
+                gaps.append(snapshot["requests"] - counted)
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        threads = [threading.Thread(target=writer) for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave writers and readers finely
+        try:
+            for thread in readers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert gaps
+        assert all(0 <= gap <= writers for gap in gaps), max(gaps)
+        final = stats.snapshot()
+        assert final["requests"] == final["stages"]["request.total"]["count"] == writers * rounds

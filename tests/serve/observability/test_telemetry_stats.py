@@ -58,6 +58,48 @@ class TestChainRecordsStages:
         )
 
 
+class TestClusterView:
+    """A request through a cluster is counted once: outcomes from the
+    router's record, execution facts from the replicas."""
+
+    def test_outcomes_come_from_the_record_and_execution_from_replicas(self):
+        record = ModelStats(max_batch_size=4)
+        record.record_request({"total": 0.010, "Telemetry.on_request": 0.001})
+        record.record_request({"total": 0.020}, "error")
+        record.record_error()
+        replicas = [ModelStats(max_batch_size=4) for _ in range(2)]
+        replicas[0].record_batch(1, 2, [0.005])
+        replicas[0].record_request({"total": 0.006, "model": 0.005})
+        replicas[1].record_request({"total": 0.001}, "error")  # a replica-side rejection
+        replicas[1].record_error()
+
+        view = ModelStats.cluster_view(record, replicas).snapshot()
+        assert view["requests"] == 1
+        assert view["batches"] == 1
+        assert view["padding_overhead_x"] == 2.0
+        assert view["p50_latency_ms"] > 0
+        assert view["errors"] == 1  # the router's count, not 1 + 1
+        stages = view["stages"]
+        assert stages["request.total"]["count"] == 2
+        assert stages["request.total"]["total_ms"] == pytest.approx(30.0)
+        assert stages["request.error"]["count"] == 1
+        assert stages["model"]["count"] == 1
+        assert stages["Telemetry.on_request"]["count"] == 1
+        # the replicas keep their own counts
+        assert replicas[1].snapshot()["errors"] == 1
+        assert replicas[0].stages()["request.total"]["count"] == 1
+
+    def test_without_a_record_only_execution_facts_remain(self):
+        replica = ModelStats(max_batch_size=4)
+        replica.record_batch(2, 2, [0.004, 0.004])
+        replica.record_request({"total": 0.005, "model": 0.004}, "error")
+        replica.record_error()
+        view = ModelStats.cluster_view(None, [replica]).snapshot()
+        assert view["requests"] == 2
+        assert view["errors"] == 0
+        assert set(view["stages"]) == {"model"}
+
+
 class TestStageKeyCap:
     def test_eviction_is_lru_and_counted(self):
         stats = ModelStats(max_batch_size=1)

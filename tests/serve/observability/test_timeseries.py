@@ -102,6 +102,42 @@ class TestGaugeAndObservationSeries:
         assert store.quantile("latency", 0.95) is None
         assert store.fraction_above("latency", 1.0) is None
 
+    def test_histogram_is_a_fresh_copy_of_the_window(self, store, clock):
+        assert store.histogram("latency").count == 0  # unknown series
+        store.on_counter("requests", 3)
+        assert store.histogram("requests").count == 0  # not an observation series
+        store.record_observation("latency", 5.0)
+        clock.advance(1.0)
+        store.record_observation("latency", 7.0)
+        assert store.histogram("latency", window=1.0).count == 1
+        copy = store.histogram("latency")
+        assert copy.count == 2
+        copy.record(9.0)  # the caller's histogram, not the store's bucket
+        assert store.observation_count("latency") == 2
+
+    def test_merge_unions_observation_windows_bucket_by_bucket(self, clock):
+        left, right, union = (
+            WindowedSeriesStore(interval=1.0, buckets=10, clock=clock) for _ in range(3)
+        )
+        for second, (mine, theirs) in enumerate([([1.0, 2.0], [50.0]), ([3.0], [80.0, 90.0])]):
+            clock.advance(float(second))
+            for value in mine:
+                left.record_observation("latency", value)
+            for value in theirs:
+                right.record_observation("latency", value)
+            for value in mine + theirs:
+                union.record_observation("latency", value)
+        right.on_counter("requests", 4)  # counters stay with their store
+        assert left.merge(right) is left
+        for window in (None, 1.0):
+            for q in (0.5, 0.95):
+                assert left.quantile("latency", q, window) == union.quantile("latency", q, window)
+            assert left.observation_count("latency", window) == union.observation_count(
+                "latency", window
+            )
+        assert left.increase("requests") == 0.0
+        assert right.observation_count("latency") == 3  # the source is untouched
+
     def test_kind_collisions_are_counted_not_corrupting(self, store):
         store.on_counter("metric", 5)
         store.record_observation("metric", 1.0)  # wrong kind: dropped
