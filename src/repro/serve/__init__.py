@@ -55,10 +55,8 @@ from .cluster import (
     FailoverExhausted,
     HealthMonitor,
     LatencyTargetPolicy,
-    LeastLoadedPolicy,
     NoHealthyReplica,
     PlacementPolicy,
-    PowerOfTwoChoicesPolicy,
     QueueDepthPolicy,
     ReplicaUnavailable,
     ReplicaWorker,
@@ -190,7 +188,6 @@ __all__ = [
     "JsonlExporter",
     "LatencyHistogram",
     "LatencyTargetPolicy",
-    "LeastLoadedPolicy",
     "MetricsRegistry",
     "MiddlewareChain",
     "MiddlewareError",
@@ -202,7 +199,6 @@ __all__ = [
     "ObfuscationViolation",
     "ObservabilityConfigError",
     "PlacementPolicy",
-    "PowerOfTwoChoicesPolicy",
     "PrivacyBudget",
     "PrivacyBudgetExceeded",
     "PrometheusExporter",

@@ -9,9 +9,9 @@ out while keeping every policy decision swappable:
   and middleware stack, plus typed in-flight failure on kill;
 * :class:`~repro.serve.cluster.hashring.ConsistentHashRing` — stable
   model-id sharding with minimal movement on membership changes;
-* :class:`~repro.serve.cluster.placement.PlacementPolicy` and the built-ins
-  (consistent-hash, least-loaded, power-of-two-choices) — policy-free
-  routing: the router executes whatever the policy answers;
+* :class:`~repro.serve.cluster.placement.PlacementPolicy` and its
+  consistent-hash built-in — which replicas own each model; the router
+  dispatches among the owners by load with one rule of its own;
 * :class:`~repro.serve.cluster.health.HealthMonitor` — heartbeats, draining,
   consecutive-failure tracking;
 * :class:`~repro.serve.cluster.admission.AdmissionScheduler` — tenant
@@ -55,12 +55,7 @@ from .errors import (
 )
 from .hashring import ConsistentHashRing, stable_hash
 from .health import DRAINING, HEALTHY, STOPPED, UNHEALTHY, HealthMonitor, ReplicaHealth
-from .placement import (
-    ConsistentHashPolicy,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    PowerOfTwoChoicesPolicy,
-)
+from .placement import ConsistentHashPolicy, PlacementPolicy
 from .replica import ReplicaWorker
 from .router import ClusterRouter
 
@@ -81,11 +76,9 @@ __all__ = [
     "HealthMonitor",
     "HysteresisPolicy",
     "LatencyTargetPolicy",
-    "LeastLoadedPolicy",
     "NoHealthyReplica",
     "Observation",
     "PlacementPolicy",
-    "PowerOfTwoChoicesPolicy",
     "QueueDepthPolicy",
     "ReplicaHealth",
     "ReplicaUnavailable",

@@ -1,35 +1,26 @@
-"""Pluggable placement: which replica serves (and stores) which model.
+"""Pluggable placement: which replicas own (and store) which model.
 
-Following the policy-free middleware idea, the router hard-codes *no*
-placement decision — it asks a :class:`PlacementPolicy` two questions and
-mechanically executes the answers:
-
-* :meth:`~PlacementPolicy.candidates` — given a model id and the currently
-  routable replicas, an ordered preference list; the router dispatches to the
-  first entry and walks the rest on failover;
-* :meth:`~PlacementPolicy.owners` — given a model id and the full membership,
-  which replicas should hold the model's registry entry; the router
-  (re-)registers bundles accordingly on publish and membership changes.
+Following the policy-free middleware idea, a :class:`PlacementPolicy`
+answers one question — :meth:`~PlacementPolicy.owners`: given a model id and
+a set of replicas, which of them hold the model's registry entry, in
+preference order.  The router (re-)registers bundles accordingly on publish
+and membership changes, and dispatches among the routable owners by load
+with one rule of its own (see :class:`~repro.serve.cluster.router.ClusterRouter`):
+the first owner below a full batch of outstanding rows, else the least loaded.
 
 Built-ins:
 
+* :class:`PlacementPolicy` — replicate everywhere, in membership order.
 * :class:`ConsistentHashPolicy` — shard the catalogue over a
   :class:`~repro.serve.cluster.hashring.ConsistentHashRing`; each model lives
   on ``replication_factor`` ring successors, so per-replica instance caches
   stay shard-resident (the cluster's aggregate cache scales with members) and
   failover follows the ring to the next owner.
-* :class:`LeastLoadedPolicy` — replicate everywhere, dispatch to the replica
-  with the fewest outstanding requests (one atomic load read per replica).
-* :class:`PowerOfTwoChoicesPolicy` — replicate everywhere, sample two
-  replicas and pick the less loaded: near-optimal balance at a fraction of
-  the load-probing cost, and no herd behaviour when loads are stale.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from .hashring import ConsistentHashRing
 from .replica import ReplicaWorker
@@ -38,12 +29,8 @@ from .replica import ReplicaWorker
 class PlacementPolicy:
     """Strategy interface: override any subset; defaults replicate everywhere."""
 
-    def candidates(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
-        """Routable replicas in dispatch-preference order (index 0 first)."""
-        return list(replicas)
-
     def owners(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
-        """Replicas that should hold ``model_id``'s registry entry."""
+        """Replicas of ``replicas`` that hold ``model_id``, in preference order."""
         return list(replicas)
 
     def on_membership_change(self, replica_ids: Sequence[str]) -> None:
@@ -71,8 +58,8 @@ class ConsistentHashPolicy(PlacementPolicy):
     ``replication_factor`` owners per model id trades memory for failover
     headroom: with ``r`` owners the cluster tolerates ``r - 1`` replica
     failures per shard without a cache-cold (or catalogue-miss) dispatch.
-    Candidate order is the ring's preference walk restricted to routable
-    replicas, so a failed primary hands over to the model's next *owner*
+    Owners come in the ring's preference order, restricted to the replicas
+    asked about, so a failed primary hands over to the model's next *owner*
     before any non-owner.
     """
 
@@ -90,13 +77,6 @@ class ConsistentHashPolicy(PlacementPolicy):
         for node in wanted:
             if node not in self.ring:
                 self.ring.add(node)
-
-    def candidates(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
-        by_id = {replica.replica_id: replica for replica in replicas}
-        ordered = [by_id[node] for node in self.ring.preference_list(model_id) if node in by_id]
-        # Replicas not on the ring yet (registered mid-change) go last.
-        ordered.extend(r for r in replicas if r not in ordered)
-        return ordered
 
     def owners(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
         by_id = {replica.replica_id: replica for replica in replicas}
@@ -118,43 +98,3 @@ class ConsistentHashPolicy(PlacementPolicy):
             model_id: ring.preference_list(model_id, count=self.replication_factor)
             for model_id in model_ids
         }
-
-
-class LeastLoadedPolicy(PlacementPolicy):
-    """Dispatch to the replica with the fewest outstanding requests.
-
-    Each replica's load is one atomic :meth:`ReplicaWorker.load` read (backed
-    by the server's single-snapshot ``stats()``), so ordering ``n`` replicas
-    costs ``n`` reads and never interleaves half-updated state.
-    """
-
-    def candidates(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
-        return sorted(replicas, key=lambda replica: (replica.load(), replica.replica_id))
-
-
-class PowerOfTwoChoicesPolicy(PlacementPolicy):
-    """Sample two replicas, dispatch to the less loaded.
-
-    The classic balanced-allocations result: two random choices drop the
-    maximum load from ``O(log n / log log n)`` to ``O(log log n)`` while
-    probing only two replicas per request — and, unlike full least-loaded,
-    it does not stampede the momentarily-idlest replica under bursts.
-    The RNG is injectable for deterministic tests.
-    """
-
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def candidates(self, model_id: str, replicas: Sequence[ReplicaWorker]) -> List[ReplicaWorker]:
-        replicas = list(replicas)
-        if len(replicas) <= 2:
-            return sorted(replicas, key=lambda r: (r.load(), r.replica_id))
-        first, second = self.rng.choice(len(replicas), size=2, replace=False)
-        pair = sorted(
-            (replicas[int(first)], replicas[int(second)]),
-            key=lambda r: (r.load(), r.replica_id),
-        )
-        rest = [r for r in replicas if r not in pair]
-        # Failover beyond the sampled pair walks the remaining replicas by load.
-        rest.sort(key=lambda r: (r.load(), r.replica_id))
-        return pair + rest

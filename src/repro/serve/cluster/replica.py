@@ -15,8 +15,9 @@ the two things a single-process server never needed:
   request elsewhere with the replica excluded;
 * **one-snapshot load** — ``snapshot()`` reads the server's combined stats
   (``queue_depth`` + ``running`` + per-model counters) in a single call plus
-  the wrapper's in-flight count, so placement policies compare replicas
-  without stitching together racy property reads.
+  the wrapper's in-flight count, without stitching together racy property
+  reads; ``load()`` is that in-flight count alone, which the router reads to
+  pick among a model's owners.
 
 Trust boundary: a replica is a *server-side* component.  Its registry holds
 only augmented bundles — sharding the serving plane never moves secrets; the

@@ -14,13 +14,14 @@ Request flow::
             ──> AdmissionScheduler: the surviving rows as ONE entry
                 (priority + earliest-deadline ordering, dequeue-time
                 shedding with typed DeadlineExceeded)
-            ──> dispatcher thread: PlacementPolicy.candidates()
+            ──> dispatcher thread: the first PlacementPolicy.owners() entry
+                below a full batch of outstanding rows, else the least loaded
             ──> ReplicaWorker.submit_many() ──> one server queue item,
                 replica's own middleware/batcher, one future per row
             └─ on a retryable failure (ReplicaUnavailable / ServerStopped /
                ServerOverloaded / catalogue miss): record the failure with the
                HealthMonitor, exclude the replica, re-dispatch the rows still
-               unresolved to the next candidate — bounded by
+               unresolved to the next choice — bounded by
                ``max_retries``.  In-flight rows on a killed replica fail fast
                with a typed error and take this same path, which is the
                zero-lost-requests failover guarantee the cluster tests pin.
@@ -69,7 +70,7 @@ from .placement import ConsistentHashPolicy, PlacementPolicy
 from .replica import ReplicaWorker
 
 # Failures that justify trying another replica.  A catalogue miss (KeyError)
-# is retryable because the next candidate may own the shard, but it is not a
+# is retryable because the next replica tried may own the shard, but it is not a
 # *health* signal — the replica is fine, the request was just misrouted.
 _RETRYABLE = (ReplicaUnavailable, ServerStopped, ServerOverloaded, KeyError)
 _HEALTH_FAILURES = (ReplicaUnavailable, ServerStopped, ServerOverloaded)
@@ -110,7 +111,7 @@ class _Dispatch:
 
 
 class ClusterRouter:
-    """Routes requests across replicas with pluggable placement policies."""
+    """Routes requests across replicas: placement picks owners, load picks one."""
 
     def __init__(
         self,
@@ -349,6 +350,26 @@ class ClusterRouter:
                 for replica_id in ids
                 if replica_id in self._replicas and replica_id not in excluded
             ]
+
+    def _choose(self, model_id: str, excluded: Set[str]) -> Optional[ReplicaWorker]:
+        """The replica that gets ``model_id``'s next rows, or None.
+
+        Among the model's routable owners, in the policy's order: the first
+        with fewer outstanding rows than its batcher's ``max_batch_size``,
+        which can still coalesce the new rows into a batch; else the least
+        loaded owner.  Spilling only past a full batch keeps light traffic on
+        one replica (consistent hashing with bounded loads).  Without a
+        routable owner the other routable replicas follow, and a catalogue
+        miss there fails over in turn.
+        """
+        routable = self._routable(excluded)
+        owners = self.placement.owners(model_id, routable)
+        if not owners:
+            return routable[0] if routable else None
+        for replica in owners:
+            if replica.load() < replica.server.batcher.max_batch_size:
+                return replica
+        return min(owners, key=lambda replica: replica.load())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -612,8 +633,8 @@ class ClusterRouter:
             return
         replica: Optional[ReplicaWorker] = None
         while replica is None:
-            candidates = self.placement.candidates(unit.model_id, self._routable(unit.excluded))
-            if not candidates:
+            replica = self._choose(unit.model_id, unit.excluded)
+            if replica is None:
                 if unit.tried:
                     error: BaseException = FailoverExhausted(
                         unit.model_id, len(unit.tried), unit.tried
@@ -623,7 +644,6 @@ class ClusterRouter:
                 for row in unit.rows:
                     self._fail(row, error)
                 return
-            replica = candidates[0]
             # Burn the breaker's half-open probe only here, on the replica we
             # actually dispatch to: a replica whose breaker opened since
             # listing is excluded without spending retry budget.

@@ -1,62 +1,68 @@
-"""Placement policies: ownership, candidate order, load awareness."""
+"""Placement policies answer ownership only: which replicas hold a model,
+in preference order.  Dispatch among the owners is the router's rule
+(pinned in ``test_router.py``)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.serve.cluster import (
-    ConsistentHashPolicy,
-    LeastLoadedPolicy,
-    PlacementPolicy,
-    PowerOfTwoChoicesPolicy,
-)
+from repro.serve.cluster import ConsistentHashPolicy, PlacementPolicy
 
 
 class StubReplica:
-    """Just enough surface for the policies: an id and a load reading."""
+    """Just enough surface for the policies: an id."""
 
-    def __init__(self, replica_id: str, load: int = 0) -> None:
+    def __init__(self, replica_id: str) -> None:
         self.replica_id = replica_id
-        self._load = load
-
-    def load(self) -> int:
-        return self._load
 
 
-def stubs(*loads: int) -> list:
-    return [StubReplica(f"r{index}", load) for index, load in enumerate(loads)]
+def stubs(count: int) -> list:
+    return [StubReplica(f"r{index}") for index in range(count)]
+
+
+def ids(replicas) -> list:
+    return [replica.replica_id for replica in replicas]
 
 
 class TestDefaultPolicy:
     def test_replicates_everywhere_in_given_order(self):
-        replicas = stubs(0, 0, 0)
-        policy = PlacementPolicy()
-        assert policy.candidates("m", replicas) == replicas
-        assert policy.owners("m", replicas) == replicas
+        replicas = stubs(3)
+        assert PlacementPolicy().owners("m", replicas) == replicas
+        assert PlacementPolicy().owners("m", replicas[::-1]) == replicas[::-1]
+
+    def test_preview_assigns_every_model_to_every_replica(self):
+        plan = PlacementPolicy().preview_owners(["a", "b"], ["r0", "r1"])
+        assert plan == {"a": ["r0", "r1"], "b": ["r0", "r1"]}
 
 
 class TestConsistentHashPolicy:
     def test_owners_follow_the_ring_prefix(self):
         policy = ConsistentHashPolicy(replication_factor=2, vnodes=32)
-        replicas = stubs(0, 0, 0)
-        policy.on_membership_change([replica.replica_id for replica in replicas])
+        replicas = stubs(3)
+        policy.on_membership_change(ids(replicas))
         owners = policy.owners("model-a", replicas)
         assert len(owners) == 2
         preference = policy.ring.preference_list("model-a")
-        assert [owner.replica_id for owner in owners] == preference[:2]
+        assert ids(owners) == preference[:2]
 
-    def test_candidates_walk_the_ring_restricted_to_routable(self):
-        policy = ConsistentHashPolicy(replication_factor=1, vnodes=32)
-        replicas = stubs(0, 0, 0)
-        policy.on_membership_change([replica.replica_id for replica in replicas])
-        preference = policy.ring.preference_list("model-a")
-        routable = [replica for replica in replicas if replica.replica_id != preference[0]]
-        candidates = policy.candidates("model-a", routable)
-        # The failed primary is excluded; order still follows the ring.
-        assert [candidate.replica_id for candidate in candidates] == [
-            node for node in preference if node != preference[0]
-        ]
+    def test_owners_restricted_to_the_replicas_asked_about(self):
+        policy = ConsistentHashPolicy(replication_factor=2, vnodes=32)
+        replicas = stubs(3)
+        policy.on_membership_change(ids(replicas))
+        first, second, third = policy.ring.preference_list("model-a")
+        routable = [replica for replica in replicas if replica.replica_id != first]
+        # A failed primary leaves its co-owner; the third replica, which does
+        # not hold the model, never becomes an owner.
+        assert ids(policy.owners("model-a", routable)) == [second]
+        assert policy.owners("model-a", [r for r in replicas if r.replica_id == third]) == []
+
+    def test_preview_agrees_with_the_committed_ring(self):
+        policy = ConsistentHashPolicy(replication_factor=2, vnodes=32)
+        models = [f"model-{index}" for index in range(8)]
+        plan = policy.preview_owners(models, ["r0", "r1", "r2"])
+        replicas = stubs(3)
+        policy.on_membership_change(ids(replicas))
+        assert plan == {model: ids(policy.owners(model, replicas)) for model in models}
 
     def test_membership_change_updates_the_ring(self):
         policy = ConsistentHashPolicy(vnodes=16)
@@ -68,40 +74,3 @@ class TestConsistentHashPolicy:
     def test_replication_factor_validated(self):
         with pytest.raises(ValueError):
             ConsistentHashPolicy(replication_factor=0)
-
-
-class TestLeastLoadedPolicy:
-    def test_orders_by_load_then_id(self):
-        replicas = stubs(5, 1, 3, 1)
-        candidates = LeastLoadedPolicy().candidates("m", replicas)
-        assert [candidate.replica_id for candidate in candidates] == ["r1", "r3", "r2", "r0"]
-
-
-class TestPowerOfTwoChoicesPolicy:
-    def test_winner_is_the_lighter_of_the_sampled_pair(self):
-        rng = np.random.default_rng(0)
-        policy = PowerOfTwoChoicesPolicy(rng=rng)
-        replicas = stubs(9, 0, 5, 7)
-        for _ in range(20):
-            candidates = policy.candidates("m", replicas)
-            assert len(candidates) == len(replicas)
-            assert candidates[0].load() <= candidates[1].load()
-            assert {candidate.replica_id for candidate in candidates} == {
-                "r0",
-                "r1",
-                "r2",
-                "r3",
-            }
-
-    def test_two_replicas_degenerates_to_least_loaded(self):
-        policy = PowerOfTwoChoicesPolicy(rng=np.random.default_rng(1))
-        replicas = stubs(4, 2)
-        assert [c.replica_id for c in policy.candidates("m", replicas)] == ["r1", "r0"]
-
-    def test_prefers_lighter_replicas_in_aggregate(self):
-        policy = PowerOfTwoChoicesPolicy(rng=np.random.default_rng(7))
-        replicas = stubs(100, 0, 100, 100)
-        wins = sum(policy.candidates("m", replicas)[0].replica_id == "r1" for _ in range(200))
-        # r1 wins whenever sampled (p = 1/2) and sometimes tops the sorted
-        # rest otherwise never; expect ~100/200 with slack for sampling noise.
-        assert wins > 60

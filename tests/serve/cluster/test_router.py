@@ -3,6 +3,7 @@ membership changes, cluster-wide middleware, cross-replica stats merging."""
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import time
@@ -19,10 +20,10 @@ from repro.serve import (
     DeadlineExceeded,
     FailoverExhausted,
     InferenceServer,
-    LeastLoadedPolicy,
     ModelRegistry,
     ModelStats,
     NoHealthyReplica,
+    PlacementPolicy,
     PrivacyBudget,
     RateLimiter,
     RateLimitExceeded,
@@ -106,8 +107,8 @@ class TestShardedCatalogue:
         for replica_id in router.replica_ids():
             assert "lenet" not in router.replica(replica_id).registry
 
-    def test_least_loaded_policy_replicates_everywhere(self):
-        router = make_router(placement=LeastLoadedPolicy())
+    def test_default_policy_replicates_everywhere(self):
+        router = make_router(placement=PlacementPolicy())
         register_lenet(router)
         assert router.shard_map()["lenet"] == ["r0", "r1", "r2"]
 
@@ -140,7 +141,7 @@ class TestSyncServing:
 
     def test_catalogue_miss_fails_over_to_an_owner(self, images, reference_outputs):
         # Non-owners raising KeyError must not poison health accounting.
-        router = make_router(placement=LeastLoadedPolicy(), max_retries=2)
+        router = make_router(placement=PlacementPolicy(), max_retries=2)
         register_lenet(router)
         router.replica("r0").registry.unregister("lenet")  # simulate a misroute
         with router:
@@ -187,6 +188,132 @@ class TestSyncServing:
         assert stats["router"]["shed"] == 1
         # no replica spent compute on the shed request
         assert stats["models"]["lenet"]["requests"] == 0
+
+
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
+class TestDispatchAmongOwners:
+    """The router's rule: the first owner below a full batch of outstanding
+    rows, else the least loaded owner, else the non-owners."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def gated_router(replica_ids, max_batch_size: int = 8):
+        """A started router whose replicas hold their batches in a gate until
+        the test opens it, so each replica's load is exactly the rows
+        dispatched to it.  The gate opens before the router stops."""
+        gate = threading.Event()
+
+        class Gate(ServeMiddleware):
+            def on_batch(self, batch) -> None:
+                gate.wait(timeout=30)
+
+        replicas = [
+            make_replica(rid, middleware=[Gate()], max_batch_size=max_batch_size)
+            for rid in replica_ids
+        ]
+        router = ClusterRouter(
+            replicas, placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES)
+        )
+        register_lenet(router)
+        with router:
+            try:
+                yield router, gate
+            finally:
+                gate.set()
+
+    @staticmethod
+    def served(router) -> dict:
+        return {
+            rid: replica["server"]["models"].get("lenet", {"requests": 0, "batches": 0})
+            for rid, replica in router.stats()["replicas"].items()
+        }
+
+    @staticmethod
+    def loads(router) -> dict:
+        return {rid: router.replica(rid).load() for rid in router.replica_ids()}
+
+    def test_concurrent_full_batches_run_one_per_owner(self):
+        batch = list(np.random.default_rng(5).standard_normal((32, 1, 28, 28), dtype=np.float32))
+        with self.gated_router(("r0", "r1"), max_batch_size=32) as (router, gate):
+            futures = []
+            clients = [
+                threading.Thread(target=lambda: futures.extend(router.submit_many("lenet", batch)))
+                for _ in range(2)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+            wait_until(lambda: sum(self.loads(router).values()) == 64)
+            gate.set()
+            for future in futures:
+                assert future.result(timeout=30).shape == (10,)
+        for rid, model in self.served(router).items():
+            assert (model["requests"], model["batches"]) == (32, 1), rid
+
+    def test_single_rows_stay_on_the_first_owner_until_a_full_batch(self, images):
+        with self.gated_router(("r0", "r1")) as (router, gate):
+            primary, secondary = router.shard_map()["lenet"]
+            futures = []
+            for count in range(1, 9):
+                futures.append(router.submit("lenet", images[count % len(images)]))
+                wait_until(lambda: self.loads(router)[primary] == count)
+                assert self.loads(router)[secondary] == 0
+            # A full batch is outstanding on the primary: the next row spills.
+            futures.append(router.submit("lenet", images[0]))
+            wait_until(lambda: self.loads(router)[secondary] == 1)
+            gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        served = self.served(router)
+        assert (served[primary]["requests"], served[secondary]["requests"]) == (8, 1)
+
+    def test_all_owners_full_dispatches_to_the_least_loaded(self, images):
+        rows = list(images) + [images[0]]
+        with self.gated_router(("r0", "r1")) as (router, gate):
+            primary, secondary = router.shard_map()["lenet"]
+            futures = list(router.submit_many("lenet", rows))  # 9 rows: primary
+            wait_until(lambda: self.loads(router)[primary] == 9)
+            futures += router.submit_many("lenet", rows[:8])  # primary full: secondary
+            wait_until(lambda: self.loads(router)[secondary] == 8)
+            futures += router.submit_many("lenet", rows[:2])  # both full: the lighter
+            wait_until(lambda: self.loads(router)[secondary] == 10)
+            gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        served = self.served(router)
+        assert (served[primary]["requests"], served[secondary]["requests"]) == (9, 10)
+
+    def test_a_killed_primary_fails_over_to_the_co_owner_first(self, images, reference_outputs):
+        ring = ConsistentHashRing(["r0", "r1", "r2"], vnodes=VNODES)
+        primary, secondary, outsider = ring.preference_list("lenet")
+        # Membership order puts the non-owner first, so a rule that fell
+        # back to membership order would try it before the co-owner.
+        order = [outsider, secondary, primary]
+        router = ClusterRouter(
+            [make_replica(rid) for rid in order],
+            placement=ConsistentHashPolicy(replication_factor=2, vnodes=VNODES),
+        )
+        register_lenet(router)
+        with router:
+            router.check_health()  # the router still believes the primary is up
+            router.replica(primary).kill()
+            outputs = router.predict_batch("lenet", list(images))
+        for output, expected in zip(outputs, reference_outputs):
+            np.testing.assert_array_equal(output, expected)
+        stats = router.stats()
+        attempts = {
+            rid: record["attempts"] for rid, record in stats["failover"]["per_replica"].items()
+        }
+        assert attempts.get(outsider, 0) == 0
+        assert attempts[primary] == attempts[secondary] == len(images)
+        assert stats["replicas"][secondary]["server"]["models"]["lenet"]["requests"] == len(images)
 
 
 class TestConcurrentServing:

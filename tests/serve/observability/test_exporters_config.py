@@ -98,13 +98,17 @@ class TestTracerFromSpec:
                 ],
             }
         )
-        assert isinstance(tracer, Tracer)
-        assert tracer.sample_rate == 0.25
-        assert tracer.stats()["ring_capacity"] == 16
-        assert [type(e).__name__ for e in tracer.exporters] == [
-            "InMemoryExporter",
-            "JsonlExporter",
-        ]
+        try:
+            assert isinstance(tracer, Tracer)
+            assert tracer.sample_rate == 0.25
+            assert tracer.stats()["ring_capacity"] == 16
+            assert [type(e).__name__ for e in tracer.exporters] == [
+                "InMemoryExporter",
+                "JsonlExporter",
+            ]
+        finally:
+            for exporter in tracer.exporters:
+                exporter.close()
 
     def test_accepts_a_parsed_stack_spec(self):
         spec = spec_from_toml(
