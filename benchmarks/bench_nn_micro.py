@@ -2,9 +2,10 @@
 
 Unlike the figure/table benchmarks (which reproduce paper results), this
 suite times the primitive operations every training run is built from —
-dense and depthwise convolution, linear layers, an attention block, whole
-LeNet / MobileNetV2 training steps, and the augmented-vs-plain step
-overhead — plus the served forward (augmented LeNet / MobileNetV2-small at
+dense and depthwise convolution, linear layers, an attention block, a
+training-mode batch norm, whole LeNet / MobileNetV2 training steps, the
+repository benchmark's augmented MobileNetV2 training step, and the
+augmented-vs-plain step overhead — plus the served forward (augmented LeNet / MobileNetV2-small at
 batch 32 under ``no_grad``) with a per-layer-type breakdown, and writes a
 machine-readable ``BENCH_nn_micro.json`` so future PRs can diff the repo's
 performance trajectory.
@@ -37,6 +38,12 @@ import numpy as np
 from repro import nn
 from repro.nn import Tensor
 from repro.nn import functional as F
+
+try:
+    from repro.utils import pin_blas_threads
+except ImportError:  # an older revision without the helper: BLAS stays as it is
+    def pin_blas_threads(threads: int = 1):
+        return None
 
 
 def _default_dtype():
@@ -162,6 +169,52 @@ def bench_mobilenet_step(rng: np.random.Generator, tiny: bool) -> Callable[[], N
         loss = F.cross_entropy(model(Tensor(images)), labels)
         loss.backward()
         optimizer.step()
+
+    return step
+
+
+def bench_augmented_mobilenet_step(rng: np.random.Generator, tiny: bool) -> Callable[[], None]:
+    """The repository benchmark's training step: augmented MobileNetV2-small.
+
+    Same job as ``perfbench``'s training workload (CIFAR-10 analogue,
+    ``augmentation_amount=0.5``, ``num_subnetworks=2``, so 48x48 inputs),
+    one SGD step of ``AugmentedClassificationTrainer`` at batch 32 (8 at
+    tiny scale).
+    """
+    from repro.core import Amalgam, AmalgamConfig
+    from repro.core.trainer import AugmentedClassificationTrainer
+    from repro.data import make_cifar10
+    from repro.models.mobilenet import mobilenet_v2_small
+
+    batch = 8 if tiny else 32
+    data = make_cifar10(train_count=batch, val_count=8, seed=11)
+    model = mobilenet_v2_small(num_classes=10, in_channels=3, rng=rng)
+    config = AmalgamConfig(augmentation_amount=0.5, num_subnetworks=2, seed=13)
+    job = Amalgam(config).prepare_image_job(model, data)
+    trainer = AugmentedClassificationTrainer(job.augmented_model, lr=0.01)
+    one_batch = [(job.train_data.dataset.samples[:batch], job.train_data.dataset.labels[:batch])]
+
+    def step() -> None:
+        trainer.train_epoch(one_batch)
+
+    return step
+
+
+def bench_batch_norm_train(rng: np.random.Generator, tiny: bool) -> Callable[[], None]:
+    """Training-mode batch norm forward + backward on a MobileNet-sized activation."""
+    shape = (8, 16, 16, 16) if tiny else (32, 32, 32, 32)
+    x = _tensor(rng, *shape, requires_grad=True)
+    gamma = Tensor(np.ones(shape[1], dtype=_default_dtype()), requires_grad=True)
+    beta = Tensor(np.zeros(shape[1], dtype=_default_dtype()), requires_grad=True)
+    running_mean = np.zeros(shape[1], dtype=_default_dtype())
+    running_var = np.ones(shape[1], dtype=_default_dtype())
+    upstream = rng.standard_normal(shape).astype(_default_dtype())
+
+    def step() -> None:
+        for tensor in (x, gamma, beta):
+            tensor.zero_grad()
+        out = F.batch_norm(x, gamma, beta, running_mean, running_var, training=True)
+        out.backward(upstream)
 
     return step
 
@@ -310,6 +363,9 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         max_regression: float = 2.0, seed: int = 0) -> Dict[str, object]:
     if baseline_path and not os.path.exists(baseline_path):
         raise SystemExit(f"baseline report not found: {baseline_path}")
+    # One BLAS thread: on a small shared machine OpenBLAS's thread hand-off
+    # can stall a whole step for milliseconds and trip the regression gate.
+    blas_threads = pin_blas_threads(1)
     tiny = scale == "tiny"
     repeats = 3 if tiny else 10
     # Seed the RNG explicitly so cross-run / cross-version CI comparisons are
@@ -317,7 +373,8 @@ def run(output_path: str, scale: str, baseline_path: str = "",
     rng = np.random.default_rng(seed)
     print(f"# bench_nn_micro scale={scale} seed={seed} "
           f"dtype={np.dtype(_default_dtype()).name} numpy={np.__version__} "
-          f"python={platform.python_version()} machine={platform.machine()}")
+          f"python={platform.python_version()} machine={platform.machine()} "
+          f"blas_threads={blas_threads}")
 
     benches: Dict[str, Callable[[], None]] = {
         "conv2d_dense_step": bench_conv2d_dense(rng, tiny),
@@ -326,6 +383,8 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         "attention_block_step": bench_attention_block(rng, tiny),
         "lenet_train_step": bench_lenet_step(rng, tiny),
         "mobilenet_train_step": bench_mobilenet_step(rng, tiny),
+        "augmented_mobilenet_train_step": bench_augmented_mobilenet_step(rng, tiny),
+        "batch_norm_train_step": bench_batch_norm_train(rng, tiny),
     }
 
     results: Dict[str, Dict[str, float]] = {}
@@ -360,6 +419,7 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "blas_threads": blas_threads,
         "seed": seed,
         "results": results,
         "served_forward_layers_ms": served_layers,

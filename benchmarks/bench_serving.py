@@ -28,9 +28,10 @@ Writes ``BENCH_serving.json``.  The headline number is
 ``speedup_batch32_vs_single`` — batched vs single-request throughput of the
 obfuscated LeNet serving path (the workload this subsystem exists for); the
 acceptance bar is >= 3x.  The plain-LeNet ratio is reported alongside as
-``plain.speedup_batch32_vs_single``; on single-core hosts it sits lower
-because batch-1 LeNet is already compute-bound there, while multi-core hosts
-let BLAS thread the batch-32 GEMMs that a batch-1 forward cannot exploit.
+``plain.speedup_batch32_vs_single``.  NumPy's OpenBLAS is pinned to one
+thread at start-up (``blas_threads`` in the report header): on a small
+shared host its thread hand-off can stall batched GEMMs for milliseconds,
+which once collapsed the plain section past batch 8.
 
 Run it as a script (no pytest required)::
 
@@ -84,6 +85,7 @@ from repro.serve import (
     WindowedSeriesStore,
 )
 from repro.serve.observability.slo import BurnRateRule, LatencyObjective
+from repro.utils import pin_blas_threads
 
 
 #: Interleaved off/on pairs behind each gated overhead.
@@ -1133,11 +1135,13 @@ def run(
     max_tracing_overhead: float = 0.0,
     max_profiler_overhead: float = 0.0,
 ) -> Dict[str, object]:
+    blas_threads = pin_blas_threads(1)
     tiny = scale == "tiny"
     print(
         f"# bench_serving scale={scale} seed={seed} "
         f"dtype={np.dtype(nn.get_default_dtype()).name} numpy={np.__version__} "
-        f"python={platform.python_version()} machine={platform.machine()}"
+        f"python={platform.python_version()} machine={platform.machine()} "
+        f"blas_threads={blas_threads}"
     )
 
     count = 128 if tiny else 512
@@ -1254,6 +1258,7 @@ def run(
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "blas_threads": blas_threads,
         "plain": {
             "single_request": single,
             "batched": batched,

@@ -166,10 +166,10 @@ def col2im(
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
-#: Byte budget of one batch tile of the graph-free depthwise stencil's padded
-#: input.  Running all ``kh * kw`` taps over a tile this small keeps the tile,
-#: its output and the scratch buffer cache-resident across taps, instead of
-#: streaming the whole batch through memory once per tap.
+#: Byte budget of one batch tile of the depthwise stencil's padded input.
+#: Running all ``kh * kw`` taps over a tile this small keeps the tile, its
+#: output (or gradient) and the scratch buffer cache-resident across taps,
+#: instead of streaming the whole batch through memory once per tap.
 _DEPTHWISE_TILE_BYTES = 512 * 1024
 
 
@@ -209,9 +209,11 @@ def _depthwise_conv2d(
     so lowering to im2col columns would inflate memory traffic ``kh * kw``-
     fold for a contraction of length ``kh * kw``.  Instead, forward and
     backward are computed as ``kh * kw`` fused multiply-adds over strided
-    window views of the (padded) input — no column matrix, no scatter.
-    Without a graph to record, the forward runs batch tile by batch tile
-    through one reused padded buffer (see ``_DEPTHWISE_TILE_BYTES``).
+    window views — no column matrix.  Forward and backward both run batch
+    tile by batch tile through the same padded input and scratch buffers
+    (see ``_DEPTHWISE_TILE_BYTES``): the backward re-pads each input tile for
+    the weight gradient and scatters ``grad * tap`` through the scratch
+    buffer into a padded gradient tile for the input gradient.
     """
     batch, channels, height, width = inputs.shape
     _, _, kh, kw = weight.shape
@@ -223,47 +225,59 @@ def _depthwise_conv2d(
     kernel = weight.data  # (channels, 1, kh, kw)
     out_data = np.empty((batch, channels, out_h, out_w),
                         dtype=np.result_type(inputs.dtype, kernel.dtype))
-    graph_free = _graph_free(inputs, weight, bias)
     padded_shape = (channels, height + 2 * ph, width + 2 * pw)
-    tile = batch  # the backward reads the whole padded input
-    if graph_free:
-        sample_bytes = int(np.prod(padded_shape)) * inputs.dtype.itemsize
-        tile = max(1, min(batch, _DEPTHWISE_TILE_BYTES // sample_bytes))
+    sample_bytes = int(np.prod(padded_shape)) * inputs.dtype.itemsize
+    tile = max(1, min(batch, _DEPTHWISE_TILE_BYTES // sample_bytes))
     # Only the interior is rewritten per tile, so the border stays zero.
     padded = np.zeros((tile,) + padded_shape, dtype=inputs.dtype)
     scratch = np.empty((tile,) + out_data.shape[1:], dtype=out_data.dtype)
-    for start in range(0, batch, max(tile, 1)):
-        rows = min(tile, batch - start)
-        padded[:rows, :, ph : ph + height, pw : pw + width] = inputs.data[start : start + rows]
-        _depthwise_taps(padded[:rows], kernel, stride,
-                        out_data[start : start + rows], scratch[:rows])
+
+    def tiles(pad_inputs: bool):
+        for start in range(0, batch, tile):
+            rows = min(tile, batch - start)
+            if pad_inputs:
+                interior = padded[:rows, :, ph : ph + height, pw : pw + width]
+                interior[...] = inputs.data[start : start + rows]
+            yield slice(start, start + rows), rows
+
+    for batch_slice, rows in tiles(True):
+        _depthwise_taps(padded[:rows], kernel, stride, out_data[batch_slice], scratch[:rows])
     if bias is not None:
         out_data += bias.data.reshape(1, -1, 1, 1)
-    if graph_free:
+    if _graph_free(inputs, weight, bias):
         return Tensor(out_data)
 
     parents = [inputs, weight] + ([bias] if bias is not None else [])
 
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            grad_weight = np.empty_like(kernel)
-            for i in range(kh):
-                for j in range(kw):
-                    window = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-                    grad_weight[:, 0, i, j] = np.einsum("bcxy,bcxy->c", grad, window)
-            weight._accumulate(grad_weight)
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
+        grad_weight = np.zeros_like(kernel) if weight.requires_grad else None
+        grad_input = grad_padded = None
         if inputs.requires_grad:
-            grad_padded = np.zeros(padded.shape, dtype=grad.dtype)
+            grad_input = np.empty(inputs.shape, dtype=grad.dtype)
+            grad_padded = np.empty((tile,) + padded_shape, dtype=grad.dtype)
+        for batch_slice, rows in tiles(grad_weight is not None):
+            grad_tile = grad[batch_slice]
+            if grad_padded is not None:
+                grad_padded[:rows].fill(0)
             for i in range(kh):
                 for j in range(kw):
-                    grad_padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += (
-                        grad * kernel[None, :, 0, i, j, None, None]
-                    )
-            if ph or pw:
-                grad_padded = grad_padded[:, :, ph : ph + height, pw : pw + width]
-            inputs._accumulate(grad_padded)
+                    window = (slice(rows), slice(None),
+                              slice(i, i + sh * out_h, sh), slice(j, j + sw * out_w, sw))
+                    if grad_weight is not None:
+                        grad_weight[:, 0, i, j] += np.einsum("bcxy,bcxy->c", grad_tile,
+                                                             padded[window])
+                    if grad_padded is not None:
+                        np.multiply(grad_tile, kernel[None, :, 0, i, j, None, None],
+                                    out=scratch[:rows])
+                        grad_padded[window] += scratch[:rows]
+            if grad_input is not None:
+                grad_input[batch_slice] = grad_padded[:rows, :, ph : ph + height, pw : pw + width]
+        if grad_weight is not None:
+            weight._accumulate(grad_weight, owned=True)
+        if grad_input is not None:
+            inputs._accumulate(grad_input, owned=True)
 
     return inputs._make_child(out_data, parents, backward)
 
@@ -334,29 +348,33 @@ def conv2d(
 
     parents = [inputs, weight] + ([bias] if bias is not None else [])
 
+    # Every gradient below lives in memory this backward allocated (col2im
+    # returns a new image or a view of the new gradient columns), so each
+    # is handed to its parameter without a copy.
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(batch, out_channels, patches)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
         if groups == 1:
             if weight.requires_grad:
                 grad_weight = np.tensordot(grad_flat, columns, axes=((0, 2), (0, 1)))
-                weight._accumulate(grad_weight.reshape(weight.shape))
+                weight._accumulate(grad_weight.reshape(weight.shape), owned=True)
             if inputs.requires_grad:
                 grad_columns = grad_flat.transpose(0, 2, 1) @ flat_weight
                 inputs._accumulate(
-                    col2im(grad_columns, inputs.shape, (kh, kw), stride, padding)
+                    col2im(grad_columns, inputs.shape, (kh, kw), stride, padding), owned=True
                 )
         else:
             grad_grouped = grad_flat.reshape(batch, groups, group_out, patches)
             if weight.requires_grad:
                 grad_weight = np.einsum("bgop,bpgk->gok", grad_grouped, grouped_columns)
-                weight._accumulate(grad_weight.reshape(weight.shape))
+                weight._accumulate(grad_weight.reshape(weight.shape), owned=True)
             if inputs.requires_grad:
                 grad_columns = np.einsum("bgop,gok->bpgk", grad_grouped, grouped_weight)
                 inputs._accumulate(
                     col2im(grad_columns.reshape(batch, patches, -1),
-                           inputs.shape, (kh, kw), stride, padding)
+                           inputs.shape, (kh, kw), stride, padding),
+                    owned=True,
                 )
 
     return inputs._make_child(out_data, parents, backward)
@@ -429,7 +447,8 @@ def max_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
         grad_cols = np.zeros_like(cols)
         np.put_along_axis(grad_cols, max_idx[..., None], grad_flat[..., None], axis=-1)
         grad_columns = grad_cols.reshape(batch, out_h * out_w, channels * kh * kw)
-        inputs._accumulate(col2im(grad_columns, inputs.shape, kernel, stride_pair, (0, 0)))
+        inputs._accumulate(col2im(grad_columns, inputs.shape, kernel, stride_pair, (0, 0)),
+                           owned=True)
 
     return inputs._make_child(out_data, (inputs,), backward)
 
@@ -455,7 +474,8 @@ def avg_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
         grad_flat = grad.reshape(batch, channels, out_h * out_w).transpose(0, 2, 1)
         grad_cols = np.repeat(grad_flat[..., None] / (kh * kw), kh * kw, axis=-1)
         grad_columns = grad_cols.reshape(batch, out_h * out_w, channels * kh * kw)
-        inputs._accumulate(col2im(grad_columns, inputs.shape, kernel, stride_pair, (0, 0)))
+        inputs._accumulate(col2im(grad_columns, inputs.shape, kernel, stride_pair, (0, 0)),
+                           owned=True)
 
     return inputs._make_child(out_data, (inputs,), backward)
 
@@ -487,23 +507,22 @@ def batch_norm(
     """Batch normalisation over the channel axis of 2-D or 4-D inputs.
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
-    when ``training`` is true.
+    when ``training`` is true.  With a graph to record, the op is one node
+    that keeps the normalised input ``x_hat`` and backpropagates
+    analytically: ``d_beta = sum(g)``, ``d_gamma = sum(g * x_hat)`` and, in
+    training, where the batch statistics depend on the input,
+    ``dx = gamma * inv_std * (g - mean(g) - x_hat * mean(g * x_hat))``.
     """
-    if inputs.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-    elif inputs.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-    else:
+    if inputs.ndim not in (2, 4):
         raise ValueError("batch_norm supports 2-D or 4-D inputs")
+    shape = (1, -1) + (1,) * (inputs.ndim - 2)
 
     if not training and _graph_free(inputs, gamma, beta):
         # Inference fast path: fold the running statistics and the affine
         # parameters into one per-channel scale and shift, applied in one
-        # multiply and one in-place add (the graph path makes four passes,
-        # each allocating a tensor).  Computed in the dtype the graph path
-        # would return.
+        # multiply and one in-place add (the graph path makes four passes
+        # and keeps ``x_hat`` for the backward).  Computed in the dtype the
+        # graph path would return.
         dtype = np.result_type(inputs.dtype, gamma.dtype, beta.dtype)
         scale = np.asarray(gamma.data, dtype=dtype) / np.sqrt(
             np.asarray(running_var, dtype=dtype) + eps)
@@ -512,23 +531,68 @@ def batch_norm(
         out_data += shift.reshape(shape)
         return Tensor(out_data)
 
-    if training:
-        batch_mean = inputs.data.mean(axis=axes)
-        batch_var = inputs.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * batch_mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * batch_var
-        mean_used, var_used = batch_mean, batch_var
-    else:
-        mean_used, var_used = running_mean, running_var
+    # One graph node.  Per-channel vectors are laid out like one sample
+    # (``np.repeat`` over the spatial positions) and applied to the
+    # ``(batch, channels * positions)`` view, so every elementwise pass runs
+    # over whole contiguous rows instead of one short row per channel.
+    batch, channels = inputs.shape[0], inputs.shape[1]
+    positions = int(np.prod(inputs.shape[2:]))
+    count = batch * positions
+    dtype = inputs.dtype
+    out_dtype = np.result_type(dtype, gamma.dtype, beta.dtype)
 
-    # Cast the statistics to the input dtype so float32 activations are not
-    # silently upcast by float64 running buffers (or vice versa).
-    mean_t = Tensor(np.asarray(mean_used, dtype=inputs.dtype).reshape(shape))
-    std_t = Tensor(np.sqrt(np.asarray(var_used, dtype=inputs.dtype).reshape(shape) + eps))
-    normalised = (inputs - mean_t) / std_t
-    return normalised * gamma.reshape(*shape) + beta.reshape(*shape)
+    def per_sample(vector: np.ndarray) -> np.ndarray:
+        return np.repeat(vector, positions)
+
+    def channel_sum(first: np.ndarray, second: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-channel sum of ``first`` (times ``second``) over batch and positions."""
+        grouped = first.reshape(batch, channels, positions)
+        if second is None:
+            return np.einsum("bcp->c", grouped)
+        return np.einsum("bcp,bcp->c", grouped, second.reshape(batch, channels, positions))
+
+    flat = inputs.data.reshape(batch, channels * positions)
+    if training:
+        mean = channel_sum(flat) / count
+        x_hat = flat - per_sample(mean)
+        var = channel_sum(x_hat, x_hat) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        # Cast the running statistics to the input dtype so float32
+        # activations are not silently upcast by float64 buffers.
+        var = np.asarray(running_var, dtype=dtype)
+        x_hat = flat - per_sample(np.asarray(running_mean, dtype=dtype))
+    inv_std = (1.0 / np.sqrt(var + eps)).astype(dtype, copy=False)
+    x_hat *= per_sample(inv_std)
+    out_data = x_hat * per_sample(np.asarray(gamma.data, dtype=out_dtype))
+    out_data += per_sample(np.asarray(beta.data, dtype=out_dtype))
+
+    def backward(grad: np.ndarray) -> None:
+        grad_flat = grad.reshape(batch, channels * positions)
+        grad_sum = channel_sum(grad_flat)
+        grad_dot = channel_sum(grad_flat, x_hat)
+        if beta.requires_grad:
+            beta._accumulate(grad_sum, owned=True)
+        if gamma.requires_grad:
+            gamma._accumulate(grad_dot, owned=True)
+        if not inputs.requires_grad:
+            return
+        scale = gamma.data * inv_std
+        if training:
+            # The batch statistics depend on every input, hence the two
+            # mean terms: dx = scale * (g - mean(g) - x_hat * mean(g * x_hat)).
+            grad_input = x_hat * per_sample((grad_dot / count).astype(dtype, copy=False))
+            grad_input += per_sample((grad_sum / count).astype(dtype, copy=False))
+            np.subtract(grad_flat, grad_input, out=grad_input)
+            grad_input *= per_sample(scale.astype(dtype, copy=False))
+        else:
+            grad_input = grad_flat * per_sample(scale.astype(dtype, copy=False))
+        inputs._accumulate(grad_input.reshape(inputs.shape), owned=True)
+
+    return inputs._make_child(out_data.reshape(inputs.shape), (inputs, gamma, beta), backward)
 
 
 def layer_norm(inputs: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -591,7 +655,7 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
             return
         grad_weight = np.zeros_like(weight.data)
         np.add.at(grad_weight, indices.reshape(-1), grad.reshape(-1, weight.shape[1]))
-        weight._accumulate(grad_weight)
+        weight._accumulate(grad_weight, owned=True)
 
     return weight._make_child(data, (weight,), backward)
 

@@ -249,13 +249,22 @@ class Tensor:
             out._parents = tuple(parents)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``, which is created on first touch.
+
+        ``owned=True`` is the caller's promise that it freshly allocated
+        ``grad`` and hands it to this tensor alone.  Such a buffer becomes
+        ``self.grad`` as it is, when it is C-contiguous.  Anything else (the
+        incoming gradient itself, views, broadcasts, a buffer passed to more
+        than one parent) is copied, so no two ``.grad`` arrays, and no
+        ``.grad`` and forward buffer, ever share memory.  Later contributions
+        add into ``self.grad`` in place.
+        """
         if not isinstance(grad, np.ndarray) or grad.dtype != self.data.dtype:
-            grad = np.asarray(grad, dtype=self.data.dtype)
+            grad = np.array(grad, dtype=self.data.dtype)
+            owned = True
         if self.grad is None:
-            # Materialise a private buffer (callers may pass views or
-            # broadcast results); later contributions add into it in place.
-            self.grad = np.array(grad)
+            self.grad = grad if owned and grad.flags.c_contiguous else np.array(grad)
         else:
             self.grad += grad
 
@@ -299,10 +308,14 @@ class Tensor:
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
+            # ``_unbroadcast`` returns ``grad`` itself when no axis was
+            # broadcast: that buffer is the child's, so it is not handed over.
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
+                summed = _unbroadcast(grad, self.shape)
+                self._accumulate(summed, owned=summed is not grad)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.shape))
+                summed = _unbroadcast(grad, other.shape)
+                other._accumulate(summed, owned=summed is not grad)
 
         return self._make_child(data, (self, other), backward)
 
@@ -315,9 +328,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
+                summed = _unbroadcast(grad, self.shape)
+                self._accumulate(summed, owned=summed is not grad)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-grad, other.shape))
+                other._accumulate(_unbroadcast(-grad, other.shape), owned=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -330,9 +344,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -345,10 +359,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
+                self._accumulate(_unbroadcast(grad / other.data, self.shape), owned=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
+                    _unbroadcast(-grad * self.data / (other.data ** 2), other.shape),
+                    owned=True,
                 )
 
         return self._make_child(data, (self, other), backward)
@@ -361,7 +376,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -370,7 +385,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * (self.data ** (exponent - 1)))
+                self._accumulate(grad * exponent * (self.data ** (exponent - 1)), owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -386,20 +401,24 @@ class Tensor:
                 if other.data.ndim == 1:
                     self._accumulate(_unbroadcast(np.outer(grad, other.data)
                                                   if grad.ndim == 1 else
-                                                  grad[..., None] * other.data, self.shape))
+                                                  grad[..., None] * other.data, self.shape),
+                                     owned=True)
                 else:
                     self._accumulate(
-                        _unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.shape)
+                        _unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.shape),
+                        owned=True,
                     )
             if other.requires_grad:
                 if self.data.ndim == 1:
                     other._accumulate(_unbroadcast(np.outer(self.data, grad)
                                                    if grad.ndim == 1 else
                                                    self.data[..., None] @ grad[None, ...],
-                                                   other.shape))
+                                                   other.shape),
+                                      owned=True)
                 else:
                     other._accumulate(
-                        _unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.shape)
+                        _unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.shape),
+                        owned=True,
                     )
 
         return self._make_child(data, (self, other), backward)
@@ -419,8 +438,8 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            # _accumulate copies on first touch, so the read-only broadcast
-            # view never needs materialising here.
+            # Not owned: _accumulate copies the read-only broadcast view on
+            # first touch, so it never needs materialising here.
             self._accumulate(np.broadcast_to(g, self.shape))
 
         return self._make_child(data, (self,), backward)
@@ -452,7 +471,7 @@ class Tensor:
                 expanded = np.expand_dims(data, axis=axis)
             mask = (self.data == expanded).astype(self.data.dtype)
             mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * g)
+            self._accumulate(mask * g, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -508,7 +527,7 @@ class Tensor:
                 return
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -535,7 +554,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * data)
+                self._accumulate(grad * data, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -544,7 +563,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -556,7 +575,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - data ** 2))
+                self._accumulate(grad * (1.0 - data ** 2), owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -565,7 +584,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
+                self._accumulate(grad * data * (1.0 - data), owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -578,7 +597,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -590,7 +609,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -600,7 +619,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * sign)
+                self._accumulate(grad * sign, owned=True)
 
         return self._make_child(data, (self,), backward)
 
@@ -648,7 +667,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         for position, tensor in enumerate(tensors):
             if tensor.requires_grad:
-                tensor._accumulate(np.take(grad, position, axis=axis))
+                tensor._accumulate(np.take(grad, position, axis=axis), owned=True)  # take copies
 
     requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires)

@@ -1,5 +1,6 @@
-"""Shared utilities: deterministic RNG, timing, logging and metrics."""
+"""Shared utilities: deterministic RNG, timing, logging, metrics and the BLAS pin."""
 
+from .blas import pin_blas_threads
 from .logging import get_logger
 from .metrics import MetricHistory, RunningAverage
 from .rng import derive_seed, get_global_seed, get_rng, set_global_seed, spawn
@@ -12,6 +13,7 @@ __all__ = [
     "derive_seed",
     "get_global_seed",
     "get_rng",
+    "pin_blas_threads",
     "set_global_seed",
     "spawn",
     "Timer",
