@@ -19,9 +19,10 @@ Run it as a script (no pytest required)::
 finishes in a few seconds; the default (``full``) scale is still laptop-CPU
 friendly but large enough for stable timings.
 
-The script is deliberately compatible with older revisions of ``repro.nn``
-(it probes for ``get_default_dtype``/``no_grad``), so it can be pointed at a
-historical checkout via ``PYTHONPATH`` to produce before/after numbers.
+NumPy's OpenBLAS is pinned to one thread at start-up (``blas_threads`` in
+the report header).  The script probes for ``get_default_dtype``/``no_grad``
+in ``repro.nn``; for before/after numbers of an older checkout, run that
+checkout's own copy of the script with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ import numpy as np
 from repro import nn
 from repro.nn import Tensor
 from repro.nn import functional as F
-
-try:
-    from repro.utils import pin_blas_threads
-except ImportError:  # an older revision without the helper: BLAS stays as it is
-    def pin_blas_threads(threads: int = 1):
-        return None
+from repro.utils import pin_blas_to_one_thread
 
 
 def _default_dtype():
@@ -365,7 +361,7 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         raise SystemExit(f"baseline report not found: {baseline_path}")
     # One BLAS thread: on a small shared machine OpenBLAS's thread hand-off
     # can stall a whole step for milliseconds and trip the regression gate.
-    blas_threads = pin_blas_threads(1)
+    blas_threads = pin_blas_to_one_thread()
     tiny = scale == "tiny"
     repeats = 3 if tiny else 10
     # Seed the RNG explicitly so cross-run / cross-version CI comparisons are

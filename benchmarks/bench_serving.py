@@ -85,7 +85,7 @@ from repro.serve import (
     WindowedSeriesStore,
 )
 from repro.serve.observability.slo import BurnRateRule, LatencyObjective
-from repro.utils import pin_blas_threads
+from repro.utils import pin_blas_to_one_thread
 
 
 #: Interleaved off/on pairs behind each gated overhead.
@@ -1135,7 +1135,7 @@ def run(
     max_tracing_overhead: float = 0.0,
     max_profiler_overhead: float = 0.0,
 ) -> Dict[str, object]:
-    blas_threads = pin_blas_threads(1)
+    blas_threads = pin_blas_to_one_thread()
     tiny = scale == "tiny"
     print(
         f"# bench_serving scale={scale} seed={seed} "

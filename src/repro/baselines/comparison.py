@@ -17,8 +17,6 @@ import numpy as np
 
 from ..core.config import AmalgamConfig
 from ..core.pipeline import Amalgam
-from ..core.trainer import ClassificationTrainer
-from ..data.dataloader import DataLoader
 from ..data.dataset import TrainValSplit
 from ..data.synthetic import make_mnist
 from ..models.lenet import LeNet
@@ -30,7 +28,7 @@ from .tee_cpu import EnclaveCostModel
 from .vanilla import BaselineRun, run_vanilla
 
 
-#: Interleaved timing runs of vanilla and of Amalgam; the fastest of each counts.
+#: Interleaved timing runs of each measured framework; the fastest of each counts.
 TIMING_RUNS = 3
 
 
@@ -78,26 +76,21 @@ def run_framework_comparison(epochs: int = 1, lr: float = 0.001, batch_size: int
         return LeNet(num_classes=data.info.num_classes, in_channels=data.info.shape[0],
                      image_size=data.info.shape[1], rng=np.random.default_rng(seed))
 
-    # One untimed training step first, so the run timed first (vanilla) does
-    # not pay the process's first-call costs alone and skew every ratio.
-    warm_up = next(iter(DataLoader(data.train, batch_size=batch_size)))
-    ClassificationTrainer(fresh_model(), lr=lr).train_epoch([warm_up])
-
-    # Vanilla and Amalgam are each run TIMING_RUNS times, interleaved, and
-    # the fastest run of each counts, so one stall cannot flip their ratio.
+    # Vanilla, Amalgam and DISCO are each run TIMING_RUNS times, interleaved,
+    # and the fastest run of each counts, so one stall cannot flip a ratio.
     # The runs are seeded identically, so only their timings differ.
-    timed: Dict[str, List[BaselineRun]] = {"vanilla": [], "amalgam": []}
+    timed: Dict[str, List[BaselineRun]] = {"vanilla": [], "amalgam": [], "disco": []}
     for _ in range(TIMING_RUNS):
         timed["vanilla"].append(run_vanilla(fresh_model(), data, epochs=epochs, lr=lr,
                                             batch_size=batch_size, seed=seed))
         timed["amalgam"].append(_amalgam_run(data, epochs=epochs, lr=lr,
                                              batch_size=batch_size, seed=seed))
+        timed["disco"].append(run_disco(fresh_model(), data, epochs=epochs, lr=lr,
+                                        batch_size=batch_size, seed=seed))
     runs: Dict[str, BaselineRun] = {
         name: min(candidates, key=lambda run: run.epoch_seconds)
         for name, candidates in timed.items()
     }
-    runs["disco"] = run_disco(fresh_model(), data, epochs=epochs, lr=lr,
-                              batch_size=batch_size, seed=seed)
 
     vanilla_epoch = max(runs["vanilla"].epoch_seconds, 1e-9)
     model_parameters = fresh_model().num_parameters()

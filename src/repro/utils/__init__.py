@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG, timing, logging, metrics and the BLAS pin."""
 
-from .blas import pin_blas_threads
+from .blas import pin_blas_to_one_thread
 from .logging import get_logger
 from .metrics import MetricHistory, RunningAverage
 from .rng import derive_seed, get_global_seed, get_rng, set_global_seed, spawn
@@ -13,7 +13,7 @@ __all__ = [
     "derive_seed",
     "get_global_seed",
     "get_rng",
-    "pin_blas_threads",
+    "pin_blas_to_one_thread",
     "set_global_seed",
     "spawn",
     "Timer",

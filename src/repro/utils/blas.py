@@ -2,7 +2,7 @@
 
 On a small shared machine, OpenBLAS's thread hand-off can stall a whole
 process for milliseconds per call, so a benchmark that wants stable numbers
-pins BLAS to a fixed thread count at start-up.  Nothing calls this on import:
+pins BLAS to one thread at start-up.  Nothing calls this on import:
 each benchmark script decides for itself.
 """
 
@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 
-def pin_blas_threads(threads: int = 1) -> Optional[int]:
-    """Set NumPy's bundled OpenBLAS to ``threads`` threads.
+def pin_blas_to_one_thread() -> Optional[int]:
+    """Set NumPy's bundled OpenBLAS to one thread.
 
-    Returns the count that was set, or ``None`` (and changes nothing) when
+    Returns the count that was set (1), or ``None`` (and changes nothing) when
     no bundled OpenBLAS with a thread-count setter is found, e.g. for a
     NumPy built against another BLAS.
     """
@@ -29,6 +29,6 @@ def pin_blas_threads(threads: int = 1) -> Optional[int]:
         if setter is not None:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
-            setter(int(threads))
-            return int(threads)
+            setter(1)
+            return 1
     return None
