@@ -5,8 +5,9 @@ suite times the primitive operations every training run is built from —
 dense and depthwise convolution, linear layers, an attention block, a
 training-mode batch norm, whole LeNet / MobileNetV2 training steps, the
 repository benchmark's augmented MobileNetV2 training step, and the
-augmented-vs-plain step overhead — plus the served forward (augmented LeNet / MobileNetV2-small at
-batch 32 under ``no_grad``) with a per-layer-type breakdown, and writes a
+augmented-vs-plain step overhead — plus the served forward (augmented
+LeNet / MobileNetV2-small at batch 32 under ``no_grad``) with its minor page
+faults per call and a per-layer-type breakdown, and writes a
 machine-readable ``BENCH_nn_micro.json`` so future PRs can diff the repo's
 performance trajectory.
 
@@ -28,17 +29,19 @@ checkout's own copy of the script with ``OPENBLAS_NUM_THREADS=1``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro import nn
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.layers import containers
 from repro.utils import pin_blas_to_one_thread
 
 
@@ -67,6 +70,23 @@ def time_fn(fn: Callable[[], None], repeats: int, warmup: int = 2) -> Dict[str, 
         "median_s": float(np.median(samples)),
         "runs": int(repeats),
     }
+
+
+def minor_faults_per_call(fn: Callable[[], None], repeats: int) -> Optional[float]:
+    """Mean minor page faults per call of an already warmed-up ``fn``.
+
+    A steady-state call that reuses its memory takes none; one that gets
+    fresh pages from the kernel pays a zero-filled fault per 4 KiB.
+    ``None`` where the ``resource`` module is missing (Windows).
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +319,28 @@ def layer_breakdown(model: nn.Module, forward: Callable[[], None],
     """Mean ms per ``forward`` spent in each leaf layer type of ``model``.
 
     Every leaf module's ``forward`` is wrapped from outside for the duration
-    of the call, so the timed cases never pay for it.  ``other`` is what the
-    forward spends outside leaf layers (residual adds, sub-network plumbing).
+    of the call, so the timed cases never pay for it.  A conv that
+    ``Sequential`` folds with its batch norm and activation never calls those
+    ``forward``s; the fused kernel's time is booked under the conv's kind.
+    ``other`` is what the forward spends outside leaf layers (residual adds,
+    sub-network plumbing).
     """
     totals: Dict[str, float] = {}
+
+    def book(kind: str, run: Callable, *args, **kwargs):
+        begin = time.perf_counter()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            totals[kind] = totals.get(kind, 0.0) + time.perf_counter() - begin
+
     leaves = [module for _, module in model.named_modules() if not module._modules]
     for module in leaves:
-        def timed(*args, _forward=module.forward, _kind=_layer_kind(module), **kwargs):
-            begin = time.perf_counter()
-            try:
-                return _forward(*args, **kwargs)
-            finally:
-                totals[_kind] = totals.get(_kind, 0.0) + time.perf_counter() - begin
-        module.forward = timed  # an instance attribute shadows the method
+        # An instance attribute shadows the method.
+        module.forward = functools.partial(book, _layer_kind(module), module.forward)
+    fused = containers.conv_batch_norm
+    containers.conv_batch_norm = (
+        lambda conv, *args: book(_layer_kind(conv), fused, conv, *args))
     try:
         forward()  # warm-up
         totals.clear()
@@ -320,6 +349,7 @@ def layer_breakdown(model: nn.Module, forward: Callable[[], None],
             forward()
         elapsed = time.perf_counter() - begin
     finally:
+        containers.conv_batch_norm = fused
         for module in leaves:
             del module.forward
     breakdown = {kind: seconds / repeats * 1e3
@@ -403,6 +433,9 @@ def run(output_path: str, scale: str, baseline_path: str = "",
         model, queries = _served_job(kind)
         forward = bench_served_forward(model, queries)
         record(f"served_forward_{kind}", forward)
+        faults = minor_faults_per_call(forward, repeats)
+        results[f"served_forward_{kind}"]["minor_faults_per_call"] = faults
+        print(f"served_forward_{kind} minor page faults per call: {faults}")
         served_layers[kind] = layer_breakdown(model, forward, repeats)
         print(f"served_forward_{kind} ms per layer type: "
               + ", ".join(f"{name} {ms:.2f}" for name, ms in served_layers[kind].items()))

@@ -58,15 +58,23 @@ class ClassificationTrainer:
         self.model.train()
         loss_meter, accuracy_meter = RunningAverage(), RunningAverage()
         for inputs, labels in loader:
-            batch = self._wrap(inputs)
-            self.optimizer.zero_grad()
-            logits = self.model(batch)
-            loss = F.cross_entropy(logits, labels)
-            loss.backward()
-            self.optimizer.step()
-            loss_meter.update(loss.item(), len(labels))
-            accuracy_meter.update(F.accuracy(logits, labels), len(labels))
+            loss, accuracy = self._step(inputs, labels)
+            loss_meter.update(loss, len(labels))
+            accuracy_meter.update(accuracy, len(labels))
         return loss_meter.value, accuracy_meter.value
+
+    def _step(self, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+        """One SGD step; returns (loss, accuracy) as floats.
+
+        Only floats leave, so the step's graph (activations, closures and
+        non-leaf gradients) is freed before the next step's forward.
+        """
+        self.optimizer.zero_grad()
+        logits = self.model(self._wrap(inputs))
+        loss = F.cross_entropy(logits, labels)
+        loss.backward()
+        self.optimizer.step()
+        return loss.item(), F.accuracy(logits, labels)
 
     def evaluate(self, loader: DataLoader) -> tuple[float, float]:
         self.model.eval()
@@ -122,24 +130,32 @@ class AugmentedClassificationTrainer:
         self.model.train()
         loss_meter, accuracy_meter = RunningAverage(), RunningAverage()
         for inputs, labels in loader:
-            batch = ClassificationTrainer._wrap(inputs)
-            self.optimizer.zero_grad()
-            # A single forward pass drives both the combined loss (Algorithm 1)
-            # and the reported original-sub-network metrics, so the original
-            # body sees exactly one training-mode forward per batch — the same
-            # as when training the original model alone (this keeps batch-norm
-            # statistics, and therefore the reported curves, bit-identical).
-            outputs = self.model(batch)
-            terms = [F.cross_entropy(output, labels) for output in outputs]
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
-            total.backward()
-            self.optimizer.step()
-            original_logits = outputs[self.model.original_index]
-            loss_meter.update(terms[self.model.original_index].item(), len(labels))
-            accuracy_meter.update(F.accuracy(original_logits, labels), len(labels))
+            loss, accuracy = self._step(inputs, labels)
+            loss_meter.update(loss, len(labels))
+            accuracy_meter.update(accuracy, len(labels))
         return loss_meter.value, accuracy_meter.value
+
+    def _step(self, inputs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+        """One SGD step on the combined loss; returns the original's (loss, accuracy).
+
+        Only floats leave, so the step's graph is freed before the next
+        step's forward.
+        """
+        self.optimizer.zero_grad()
+        # A single forward pass drives both the combined loss (Algorithm 1)
+        # and the reported original-sub-network metrics, so the original
+        # body sees exactly one training-mode forward per batch — the same
+        # as when training the original model alone (this keeps batch-norm
+        # statistics, and therefore the reported curves, bit-identical).
+        outputs = self.model(ClassificationTrainer._wrap(inputs))
+        terms = [F.cross_entropy(output, labels) for output in outputs]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        total.backward()
+        self.optimizer.step()
+        original = self.model.original_index
+        return terms[original].item(), F.accuracy(outputs[original], labels)
 
     def evaluate(self, loader: DataLoader) -> tuple[float, float]:
         """Validate the augmented model with an augmented testset (Section 5.4)."""
@@ -189,11 +205,7 @@ class LanguageModelTrainer:
             self.model.train()
             loss_meter = RunningAverage()
             for inputs, targets in lm_batches(batchified, seq_len):
-                self.optimizer.zero_grad()
-                loss = self.model.loss(inputs, targets)
-                loss.backward()
-                self.optimizer.step()
-                loss_meter.update(loss.item())
+                loss_meter.update(self._step(inputs, targets))
             result.epoch_times.append(time.perf_counter() - start)
             result.history.record("train_loss", loss_meter.value)
             if val_batchified is not None:
@@ -201,6 +213,14 @@ class LanguageModelTrainer:
             if verbose:
                 print(f"epoch {epoch + 1}/{epochs}: loss={loss_meter.value:.4f}")
         return result
+
+    def _step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
+        """One optimizer step; only the loss float leaves, so the graph is freed."""
+        self.optimizer.zero_grad()
+        loss = self.model.loss(inputs, targets)
+        loss.backward()
+        self.optimizer.step()
+        return loss.item()
 
     def evaluate(self, batchified: np.ndarray, seq_len: int) -> float:
         from ..data.text import lm_batches
@@ -229,14 +249,7 @@ class AugmentedLanguageModelTrainer:
             self.model.train()
             loss_meter = RunningAverage()
             for block in _sequence_blocks(augmented_batches, seq_len):
-                self.optimizer.zero_grad()
-                terms = [subnetwork.lm_loss(block) for subnetwork in self.model.subnetworks]
-                total = terms[0]
-                for term in terms[1:]:
-                    total = total + term
-                total.backward()
-                self.optimizer.step()
-                loss_meter.update(terms[self.model.original_index].item())
+                loss_meter.update(self._step(block))
             result.epoch_times.append(time.perf_counter() - start)
             result.history.record("train_loss", loss_meter.value)
             if val_batches is not None:
@@ -244,6 +257,20 @@ class AugmentedLanguageModelTrainer:
             if verbose:
                 print(f"epoch {epoch + 1}/{epochs}: loss={loss_meter.value:.4f}")
         return result
+
+    def _step(self, block: np.ndarray) -> float:
+        """One optimizer step on the summed loss; returns the original's loss.
+
+        Only the float leaves, so the step's graph is freed before the next.
+        """
+        self.optimizer.zero_grad()
+        terms = [subnetwork.lm_loss(block) for subnetwork in self.model.subnetworks]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        total.backward()
+        self.optimizer.step()
+        return terms[self.model.original_index].item()
 
     def evaluate(self, augmented_batches: np.ndarray, seq_len: int) -> float:
         self.model.eval()

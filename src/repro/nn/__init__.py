@@ -4,6 +4,10 @@ This package stands in for PyTorch in the Amalgam reproduction: it provides a
 :class:`~repro.nn.tensor.Tensor` with reverse-mode autodiff, the layer types
 used by the paper's model zoo (convolutions, batch norm, embeddings,
 attention), optimizers and serialisation helpers.
+
+Importing it keeps freed heap memory resident
+(:func:`repro.utils.keep_heap_resident`), so steady-state forwards and
+training steps do not page-fault their activations back in.
 """
 
 from . import functional
@@ -56,6 +60,9 @@ from .tensor import (
     set_default_dtype,
     stack,
 )
+from ..utils.heap import keep_heap_resident
+
+keep_heap_resident()
 
 __all__ = [
     "functional",

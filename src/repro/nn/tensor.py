@@ -146,7 +146,7 @@ def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor with reverse-mode autograd support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "__weakref__")
 
     def __init__(
         self,
@@ -605,7 +605,10 @@ class Tensor:
         data = np.clip(self.data, minimum, maximum)
         if not (is_grad_enabled() and self.requires_grad):
             return Tensor(data)  # inference fast path: no gradient mask
-        mask = (self.data >= minimum) & (self.data <= maximum)
+        # One pass: an element passes the gradient where clipping left it
+        # unchanged, which is the same mask as ``minimum <= x <= maximum``
+        # (NaN compares unequal to itself and is masked either way).
+        mask = data == self.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -67,6 +67,24 @@ class TestBatchNormGradients:
         np.testing.assert_allclose((x.grad * centred).sum(axis=(0, 2, 3)), 0.0, atol=1e-9)
 
 
+class TestClipGradientMask:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_boundary_values(self, dtype):
+        """The gradient passes exactly where ``minimum <= x <= maximum``:
+        both bounds pass, ``-0.0`` passes, NaN and everything outside do not."""
+        values = [-np.inf, -1.0, -1e-7, -0.0, 0.0, 1e-7, 3.0, 6.0 - 1e-6, 6.0,
+                  6.0 + 1e-5, 7.0, np.inf, np.nan]
+        x = Tensor(np.array(values, dtype=dtype), requires_grad=True)
+        upstream = np.arange(1, len(values) + 1, dtype=dtype)
+        out = F.relu6(x)
+        out.backward(upstream)
+        with np.errstate(invalid="ignore"):
+            inside = (x.data >= 0.0) & (x.data <= 6.0)
+        np.testing.assert_array_equal(x.grad, upstream * inside)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, np.clip(x.data, 0.0, 6.0))
+
+
 class TestDepthwiseTiledBackward:
     SHAPE = (24, 16, 34, 34)
 
